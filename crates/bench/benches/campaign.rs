@@ -1,13 +1,11 @@
-//! Campaign-throughput benchmarks: the work-stealing executor against the
-//! legacy static shard at 1, 2 and 4 worker threads over the same small
-//! grid, the append throughput of the partitioned result store, plus the
-//! grid-expansion and sink-rendering hot paths. On multi-core hardware the
-//! multi-threaded variants should approach a linear speedup over one
-//! thread — with `steal_*` at least matching `static_*` (and beating it
-//! whenever per-cell runtimes are skewed); on a single core they document
-//! the scheduling overhead instead. The store target appends 256 rows per
-//! iteration — manifest and partition writes included — bounding the
-//! per-cell persistence cost the executor pays while streaming.
+//! Campaign-throughput benchmarks: the work-stealing executor at 1, 2 and
+//! 4 worker threads over the same small grid, the append throughput of the
+//! partitioned result store, plus the grid-expansion and sink-rendering hot
+//! paths. On multi-core hardware the multi-threaded variants should
+//! approach a linear speedup over one thread; on a single core they
+//! document the scheduling overhead instead. The store target appends 256
+//! rows per iteration — manifest and partition writes included — bounding
+//! the per-cell persistence cost the executor pays while streaming.
 
 use apc_campaign::prelude::*;
 use apc_core::PowercapPolicy;
@@ -33,22 +31,16 @@ fn bench_executor(c: &mut Criterion) {
     group.sample_size(10);
     group.warm_up_time(std::time::Duration::from_secs(1));
     group.measurement_time(std::time::Duration::from_secs(5));
-    for (name, strategy) in [
-        ("steal", ExecStrategy::WorkStealing),
-        ("static", ExecStrategy::StaticShard),
-    ] {
-        for threads in [1usize, 2, 4] {
-            group.bench_function(format!("{name}_threads_{threads}"), |b| {
-                b.iter(|| {
-                    let outcome = CampaignRunner::new(bench_spec())
-                        .with_threads(threads)
-                        .with_strategy(strategy)
-                        .run()
-                        .unwrap();
-                    black_box(outcome.rows.len())
-                })
-            });
-        }
+    for threads in [1usize, 2, 4] {
+        group.bench_function(format!("steal_threads_{threads}"), |b| {
+            b.iter(|| {
+                let outcome = CampaignRunner::new(bench_spec())
+                    .with_threads(threads)
+                    .run()
+                    .unwrap();
+                black_box(outcome.rows.len())
+            })
+        });
     }
     group.finish();
 }

@@ -53,7 +53,9 @@ use apc_campaign::agg::CellRow;
 use apc_campaign::compact::compact_store;
 use apc_campaign::prelude::{CampaignRunner, CampaignSpec};
 use apc_campaign::query::{Projection, RowFilter, ScanFlow, StoreScanner};
-use apc_campaign::store::{ResultStore, STORE_SCHEMA_V2};
+use apc_campaign::store::{
+    DEFAULT_CELLS_PER_PART, MANIFEST_NAME, PARTS_DIR, PART_CSV_HEADER, STORE_SCHEMA_V2,
+};
 use apc_core::{PowercapConfig, PowercapHook, PowercapPolicy};
 use apc_replay::{ReplayHarness, Scenario};
 use apc_rjms::config::ControllerConfig;
@@ -302,6 +304,30 @@ fn synthetic_row(i: usize, total: usize) -> CellRow {
     }
 }
 
+/// Write `rows` (cells `0..rows`) as a schema-v2 store — text CSV
+/// partitions of [`DEFAULT_CELLS_PER_PART`] cells plus a manifest with one
+/// `done` line per cell, the layout the v2 writer produced — as the
+/// reference format of the store-scan floor. The store itself writes v3
+/// only; this fixture keeps the floor's baseline unchanged.
+fn write_v2_store(dir: &Path, spec_hash: u64, rows: usize) -> std::io::Result<()> {
+    let parts = dir.join(PARTS_DIR);
+    std::fs::create_dir_all(&parts)?;
+    let mut manifest = format!(
+        "apc-campaign-store {STORE_SCHEMA_V2}\nspec {spec_hash:016x}\ncells {rows}\n\
+         per-part {DEFAULT_CELLS_PER_PART}\n"
+    );
+    for (part, first) in (0..rows).step_by(DEFAULT_CELLS_PER_PART).enumerate() {
+        let mut text = format!("{PART_CSV_HEADER}\n");
+        for i in first..(first + DEFAULT_CELLS_PER_PART).min(rows) {
+            text.push_str(&synthetic_row(i, rows).to_store_line());
+            text.push('\n');
+            manifest.push_str(&format!("done {i}\n"));
+        }
+        std::fs::write(parts.join(format!("part-{part:04}.csv")), text)?;
+    }
+    std::fs::write(dir.join(MANIFEST_NAME), manifest)
+}
+
 /// Duplicate a store directory (manifest + partition files) so the v2
 /// original can be compacted into a v3 twin without rebuilding it.
 fn copy_store(src: &Path, dst: &Path) -> std::io::Result<()> {
@@ -323,13 +349,7 @@ fn measure_store(budget: Duration, rows: usize) -> StoreNumbers {
     let _ = std::fs::remove_dir_all(&base);
     let v2_dir = base.join("v2");
     let v3_dir = base.join("v3");
-    let mut store = ResultStore::create_with_schema(&v2_dir, 0xbe9c, rows, STORE_SCHEMA_V2)
-        .expect("create v2 store");
-    store.set_sync(false); // measuring scan throughput, not durability
-    for i in 0..rows {
-        store.append(&synthetic_row(i, rows)).expect("append row");
-    }
-    drop(store);
+    write_v2_store(&v2_dir, 0xbe9c, rows).expect("write v2 store");
     copy_store(&v2_dir, &v3_dir).expect("copy store");
     compact_store(&v3_dir, None).expect("compact to v3");
 

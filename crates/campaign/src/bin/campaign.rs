@@ -38,11 +38,9 @@
 //!   --backlog F        generator initial backlog factor (default 1.3)
 //!   --swf PATH         replay an SWF trace instead of the synthetic grid
 //!   --out DIR          results directory (default campaign-results)
-//!   --store-schema V   store partition codec: 3 = binary columnar .apc
-//!                      (default), 2 = text CSV (interop with old tooling);
-//!                      --resume keeps the store's existing schema
 //!   --resume DIR       resume the interrupted campaign stored in DIR
-//!                      (grid flags must match; validated by spec hash)
+//!                      (grid flags must match; validated by spec hash; a
+//!                      v2 store must first be migrated by `compact DIR`)
 //!   --distributed DIR  run the campaign as N independent worker *processes*
 //!                      coordinating through DIR/leases.log (see README
 //!                      "Distributed execution"); excludes --out/--resume
@@ -55,7 +53,6 @@
 //!   --no-sync          skip the per-append fsyncs of the store and lease
 //!                      log (tests/benches only: a crash may then lose or
 //!                      reorder trailing records)
-//!   --strategy WHICH   work-steal | static (default work-steal)
 //!   --format WHICH     csv | json | both (default both)
 //!   --quiet            suppress the per-group stdout table
 //!   --progress         live top-style progress view on stderr (overall %,
@@ -97,10 +94,12 @@
 //!   --agg WHICH        mean | min | max (default mean; needs --group-by)
 //!
 //! report DIR: post-run summary of a (possibly partial) result store —
-//!   completion state, axis coverage, and the across-seed summary table
+//!   completion state, the lease ledger of a distributed run (when the
+//!   lease log belongs to this store's campaign), axis coverage, and the
+//!   across-seed summary table
 //!
-//! compact DIR: merge duplicate/superseded records and rewrite every
-//!   partition as one columnar v3 block (migrates v2 CSV stores to v3)
+//! compact DIR: merge duplicate/superseded records and rewrite the store
+//!   as wide columnar v3 partitions (migrates v2 CSV stores to v3)
 //!   --per-part N       change the partition width while compacting
 //!   --quiet            suppress the stderr report
 //! ```
@@ -109,8 +108,9 @@
 //! (`DIR/cells/part-NNNN.apc` + `DIR/manifest.txt`) while cells run, so a
 //! killed campaign can be picked up with `--resume DIR`; the rendered
 //! `cells.*`/`summary.*` files are produced from the store at the end and
-//! are byte-identical whether or not the campaign was interrupted (and
-//! whichever `--store-schema` the store uses). `query` streams the store
+//! are byte-identical whether or not the campaign was interrupted, and for
+//! any `--threads`. Stores written in the older v2 CSV format stay readable
+//! by `query`, `pareto`, `report` and `compact`. `query` streams the store
 //! one partition at a time — skipping v3 partitions whose zone maps prove
 //! no row can match — so very large campaigns are inspectable without
 //! loading every partition into memory.
@@ -128,10 +128,9 @@ use apc_workload::{load_swf_file, IntervalKind};
 const USAGE: &str = "usage: campaign [--threads N] [--seeds K] [--seed-base S] [--racks LIST] \
 [--intervals LIST] [--policies LIST] [--caps LIST] [--no-baseline] [--groupings LIST] \
 [--rules LIST] [--windows LIST] [--cap-schedule PATH]... [--faults LIST] [--load LIST] \
-[--backlog F] [--swf PATH] [--out DIR] [--store-schema 2|3] [--resume DIR] \
+[--backlog F] [--swf PATH] [--out DIR] [--resume DIR] \
 [--distributed DIR [--workers N] [--lease-cells N] [--lease-ttl SECS]] [--no-sync] \
-[--strategy work-steal|static] [--format csv|json|both] [--quiet] [--progress] [--metrics] \
-[--trace-out FILE]
+[--format csv|json|both] [--quiet] [--progress] [--metrics] [--trace-out FILE]
        campaign worker DIR --worker-id N [grid flags as the coordinator]
        campaign pareto DIR [--out FILE] [--cells] [--quiet]
        campaign query DIR [--workload L] [--scenario L] [--window L] [--policy P] [--seed N] \
@@ -181,10 +180,8 @@ where
 struct Options {
     spec: CampaignSpec,
     threads: usize,
-    strategy: ExecStrategy,
     source: TraceSource,
     out_dir: String,
-    store_schema: u32,
     resume: bool,
     /// `--distributed DIR`: multi-process mode over this store directory.
     distributed: Option<String>,
@@ -209,12 +206,10 @@ enum Format {
 fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     let mut spec = CampaignSpec::paper(2012, 3);
     let mut threads = 1usize;
-    let mut strategy = ExecStrategy::WorkStealing;
     let mut seeds = 3usize;
     let mut seed_base = 2012u64;
     let mut swf = None;
     let mut out_dir: Option<String> = None;
-    let mut store_schema = STORE_SCHEMA_VERSION;
     let mut resume_dir: Option<String> = None;
     let mut distributed: Option<String> = None;
     let mut workers = 2usize;
@@ -334,15 +329,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             }
             "--swf" => swf = Some(value("--swf")?.clone()),
             "--out" => out_dir = Some(value("--out")?.clone()),
-            "--store-schema" => {
-                store_schema = match value("--store-schema")?.as_str() {
-                    "2" => STORE_SCHEMA_V2,
-                    "3" => STORE_SCHEMA_VERSION,
-                    other => {
-                        return Err(format!("--store-schema must be 2 or 3, got {other}"));
-                    }
-                };
-            }
             "--resume" => resume_dir = Some(value("--resume")?.clone()),
             "--distributed" => distributed = Some(value("--distributed")?.clone()),
             "--workers" => {
@@ -368,17 +354,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
                 lease_ttl_ms = (secs * 1_000.0).round().max(1.0) as u64;
             }
             "--no-sync" => no_sync = true,
-            "--strategy" => {
-                strategy = match value("--strategy")?.as_str() {
-                    "work-steal" | "steal" => ExecStrategy::WorkStealing,
-                    "static" => ExecStrategy::StaticShard,
-                    other => {
-                        return Err(format!(
-                            "--strategy must be work-steal or static, got {other}"
-                        ))
-                    }
-                };
-            }
             "--format" => {
                 format = match value("--format")?.as_str() {
                     "csv" => Format::Csv,
@@ -437,10 +412,8 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     Ok(Some(Options {
         spec,
         threads,
-        strategy,
         source,
         out_dir,
-        store_schema,
         resume,
         distributed,
         workers,
@@ -470,7 +443,6 @@ fn run(options: Options) -> Result<(), String> {
     };
     let runner = CampaignRunner::new(options.spec.clone())
         .with_threads(options.threads)
-        .with_strategy(options.strategy)
         .with_source(options.source)
         .with_obs(obs.clone());
 
@@ -478,7 +450,6 @@ fn run(options: Options) -> Result<(), String> {
     // Open (resume) or create the append-only result store; every finished
     // cell streams into it, so a killed run can be resumed from here.
     let mut store = if options.resume {
-        // A resumed store keeps whatever schema it was created with.
         let store = ResultStore::open(&options.out_dir)?;
         eprintln!(
             "resuming {}: {} of {} cells already recorded",
@@ -488,13 +459,8 @@ fn run(options: Options) -> Result<(), String> {
         );
         store
     } else {
-        ResultStore::create_with_schema(
-            &options.out_dir,
-            runner.fingerprint(),
-            cells,
-            options.store_schema,
-        )
-        .map_err(|e| format!("cannot create result store in {}: {e}", options.out_dir))?
+        ResultStore::create(&options.out_dir, runner.fingerprint(), cells)
+            .map_err(|e| format!("cannot create result store in {}: {e}", options.out_dir))?
     };
     if options.no_sync {
         store.set_sync(false);
@@ -545,8 +511,8 @@ fn run(options: Options) -> Result<(), String> {
 }
 
 /// The flags a spawned worker inherits from the coordinator's own argv:
-/// the grid flags (the spec fingerprint must match), `--threads`,
-/// `--strategy` and `--no-sync`. Coordinator-only flags are stripped —
+/// the grid flags (the spec fingerprint must match), `--threads` and
+/// `--no-sync`. Coordinator-only flags are stripped —
 /// mode/directory selection, lease geometry (recorded once in the
 /// lease-log header, so workers cannot disagree) and render/monitor
 /// options.
@@ -558,7 +524,6 @@ fn worker_passthrough_args(args: &[String]) -> Vec<String> {
         "--lease-ttl",
         "--out",
         "--resume",
-        "--store-schema",
         "--format",
         "--trace-out",
     ];
@@ -591,11 +556,10 @@ fn run_distributed(options: Options, raw_args: &[String]) -> Result<(), String> 
     let dir_path = std::path::Path::new(&dir).to_path_buf();
     let runner = CampaignRunner::new(options.spec.clone())
         .with_threads(options.threads)
-        .with_strategy(options.strategy)
         .with_source(options.source.clone());
     let cells = runner.cells()?.len();
     let fingerprint = runner.fingerprint();
-    ResultStore::create_with_schema(&dir, fingerprint, cells, options.store_schema)
+    ResultStore::create(&dir, fingerprint, cells)
         .map_err(|e| format!("cannot create result store in {dir}: {e}"))?;
     LeaseLog::create(
         &dir_path,
@@ -750,7 +714,6 @@ fn run_worker_cli(args: &[String]) -> Result<(), String> {
     };
     let runner = CampaignRunner::new(options.spec.clone())
         .with_threads(options.threads)
-        .with_strategy(options.strategy)
         .with_source(options.source)
         .with_obs(obs.clone());
     let outcome = runner.run_worker(std::path::Path::new(&dir), worker, !options.no_sync)?;
@@ -1058,8 +1021,8 @@ fn run_query(args: &[String]) -> Result<(), String> {
 }
 
 /// `campaign compact DIR [--per-part N] [--quiet]`: merge duplicate and
-/// superseded records, drop untrusted rows, and rewrite every partition as
-/// one columnar v3 block — also the v2 → v3 migration path.
+/// superseded records, drop untrusted rows, and rewrite the store as wide
+/// columnar v3 partitions — also the v2 → v3 migration path.
 fn run_compact(args: &[String]) -> Result<(), String> {
     let mut dir: Option<String> = None;
     let mut per_part: Option<usize> = None;
@@ -1114,19 +1077,33 @@ fn run_report(args: &[String]) -> Result<(), String> {
         "partial — finish it with --resume"
     };
     println!(
-        "campaign {dir}: {}/{} cells recorded ({state}), spec {}",
+        "campaign {dir}: {}/{} cells recorded ({state}), spec {:016x}",
         scanner.completed_count(),
         scanner.total_cells(),
         scanner.spec_hash(),
     );
     let dir_path = std::path::Path::new(&dir);
     if dir_path.join(LEASES_NAME).exists() {
+        // A fresh `--out` run over an old distributed directory leaves the
+        // previous run's lease log behind: print only a ledger that
+        // belongs to this store's campaign.
         match LeaseLog::open(dir_path) {
-            Ok(log) => print!(
-                "{}",
-                log.state()
-                    .render(log.header().lease_cells, log.header().total_cells, now_ms())
-            ),
+            Ok(log) => match log.validate_spec(scanner.spec_hash(), scanner.total_cells()) {
+                Ok(()) => print!(
+                    "{}",
+                    log.state().render(
+                        log.header().lease_cells,
+                        log.header().total_cells,
+                        now_ms()
+                    )
+                ),
+                Err(_) => println!(
+                    "lease log {LEASES_NAME} belongs to another campaign \
+                     (fingerprint {:016x}, {} cells); not shown",
+                    log.header().spec_hash,
+                    log.header().total_cells,
+                ),
+            },
             Err(e) => println!("lease log unreadable: {e}"),
         }
     }

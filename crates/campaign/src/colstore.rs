@@ -94,13 +94,17 @@ const FLAG_SEED_PRESENT: u8 = 1;
 /// 64-bit FNV-1a over `bytes` taken as little-endian u64 words (the tail
 /// zero-padded to a full word) — the block checksum.
 ///
-/// Word-wise rather than the classic byte-wise FNV: one xor-multiply per 8
-/// bytes instead of per byte, which matters because every scan validates
-/// every block it reads and the multiply chain is strictly serial. The
+/// Word-wise rather than the classic byte-wise FNV that
+/// [`CampaignSpec::fingerprint`](crate::spec::CampaignSpec::fingerprint)
+/// folds: the two are different hashes, and unifying them would change
+/// either every block checksum or every recorded spec fingerprint. One
+/// xor-multiply per 8 bytes instead of per byte matters because every
+/// scan validates every block it reads and the multiply chain is strictly
+/// serial. The
 /// xor-then-odd-multiply step is a bijection on u64, so any change to any
 /// single word still changes the hash; the zero-padding is unambiguous
 /// because the checksummed bytes start with the block's own `block_len`.
-fn fnv1a(bytes: &[u8]) -> u64 {
+fn fnv1a_words(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     let mut chunks = bytes.chunks_exact(8);
     for chunk in &mut chunks {
@@ -256,7 +260,7 @@ pub fn encode_block(rows: &[CellRow]) -> Vec<u8> {
         out.extend_from_slice(&hi.to_bits().to_le_bytes());
     }
     debug_assert_eq!(out.len(), block_len - 8);
-    let sum = fnv1a(&out);
+    let sum = fnv1a_words(&out);
     out.extend_from_slice(&sum.to_le_bytes());
     out
 }
@@ -373,7 +377,7 @@ fn parse_block(data: &[u8], start: usize) -> Option<BlockMeta> {
         return None;
     }
     let sum = u64_le(data, end - 8);
-    if fnv1a(&data[start..end - 8]) != sum {
+    if fnv1a_words(&data[start..end - 8]) != sum {
         return None;
     }
     // Dictionary section: must end exactly where the columns start, every
@@ -916,6 +920,17 @@ mod tests {
                 "row {r}: {original:?} vs {decoded:?}"
             );
         }
+    }
+
+    #[test]
+    fn block_checksum_is_pinned() {
+        // Every stored block carries this checksum in its last 8 bytes; a
+        // change to `fnv1a_words` or the block layout makes existing
+        // stores unreadable.
+        let block = encode_block(&(0..3).map(row).collect::<Vec<_>>());
+        assert_eq!(block.len(), 864);
+        let sum = u64::from_le_bytes(block[block.len() - 8..].try_into().unwrap());
+        assert_eq!(sum, 0xb515_2fe2_45bb_76ba);
     }
 
     #[test]

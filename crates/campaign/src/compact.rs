@@ -6,8 +6,10 @@
 //! and a v2 store is text CSV throughout. [`compact_store`] rewrites the
 //! partitions into their ideal form — **wide partitions of
 //! [`DEFAULT_COMPACT_CELLS_PER_PART`] cells, each a run of
-//! [`COMPACT_BLOCK_ROWS`]-row columnar blocks** — duplicates resolved to
-//! the last trusted occurrence, untrusted records dropped, everything v3.
+//! [`COMPACT_BLOCK_ROWS`]-row columnar blocks** in cell-index order —
+//! duplicates resolved by the store's one rule (`merge_part_group`: last
+//! trusted record wins, across every file of a partition number),
+//! untrusted records dropped, everything v3.
 //! That is both smaller (shared dictionaries, no per-row framing) and
 //! faster to scan: wide partitions amortize the per-file open cost that
 //! dominates a scan over thousands of 64-cell live partitions, while the
@@ -24,7 +26,7 @@
 //! manifest over the old partitions — all three open fine; rerunning
 //! `compact` converges.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fs;
 use std::io::Write;
 use std::path::Path;
@@ -32,7 +34,7 @@ use std::path::Path;
 use crate::agg::CellRow;
 use crate::colstore::encode_block;
 use crate::store::{
-    load_part_rows, sorted_part_paths, ParsedManifest, MANIFEST_NAME, PARTS_DIR,
+    merge_part_group, part_groups, sorted_part_paths, ParsedManifest, MANIFEST_NAME, PARTS_DIR,
     STORE_SCHEMA_VERSION,
 };
 
@@ -94,8 +96,8 @@ impl CompactStats {
 }
 
 /// Compact the store at `dir` in place: merge duplicate/superseded records
-/// (last trusted occurrence wins, exactly the read-side rule), drop
-/// untrusted rows, and rewrite the partitions as wide v3 columnar files
+/// with `merge_part_group` (the rule every reader uses), drop untrusted
+/// rows, and rewrite the partitions as wide v3 columnar files
 /// ([`COMPACT_BLOCK_ROWS`]-row blocks). A v2 store migrates to v3; a v3
 /// store's single-row append blocks merge. `cells_per_part` overrides the
 /// partition width (default: widen to
@@ -124,14 +126,13 @@ pub fn compact_store(dir: &Path, cells_per_part: Option<usize>) -> Result<Compac
         ..CompactStats::default()
     };
 
-    // Stream input partitions in index order, buffering one *output*
-    // partition of rows at a time. Input partitions hold contiguous index
-    // ranges in file-number order, so output partitions fill strictly left
-    // to right whatever the old and new widths are.
+    // Stream input partition groups in index order, buffering one *output*
+    // partition of rows at a time. Input groups hold contiguous index
+    // ranges in partition-number order, so output partitions fill strictly
+    // left to right whatever the old and new widths are.
     let mut out_rows: Vec<CellRow> = Vec::new();
     let mut out_part: Option<usize> = None;
     let mut done_sorted: Vec<usize> = Vec::new();
-    let mut seen: BTreeSet<usize> = BTreeSet::new();
     let flush = |part: usize, rows: &mut Vec<CellRow>, stats: &mut CompactStats| {
         let path = tmp_parts.join(format!("part-{part:04}.apc"));
         let mut data = Vec::new();
@@ -148,40 +149,31 @@ pub fn compact_store(dir: &Path, cells_per_part: Option<usize>) -> Result<Compac
         file.flush()
             .map_err(|e| format!("cannot flush {}: {e}", path.display()))
     };
-    for (_, path) in sorted_part_paths(&parts_dir)? {
-        stats.partitions_in += 1;
-        if let Ok(meta) = fs::metadata(&path) {
-            stats.bytes_in += meta.len();
-        }
-        // Per-partition last-wins over trusted records, as every reader
-        // resolves duplicates (cells of one index share a partition).
-        let mut keep: BTreeMap<usize, CellRow> = BTreeMap::new();
-        for row in load_part_rows(&path)? {
-            if !manifest.done.contains(&row.index) {
-                stats.dropped_untrusted += 1;
-            } else if keep.insert(row.index, row).is_some() {
-                stats.dropped_duplicates += 1;
+    let parts = sorted_part_paths(&parts_dir)?;
+    for group in part_groups(&parts) {
+        stats.partitions_in += group.len();
+        for (_, path) in group {
+            if let Ok(meta) = fs::metadata(path) {
+                stats.bytes_in += meta.len();
             }
         }
+        let mut keep: BTreeMap<usize, CellRow> = BTreeMap::new();
+        let counts = merge_part_group(group, |idx| manifest.done.contains(&idx), &mut keep)?;
+        stats.dropped_duplicates += counts.duplicates;
+        stats.dropped_untrusted += counts.untrusted;
         for (idx, row) in keep {
-            if !seen.insert(idx) {
-                // A foreign store could repeat an index across partitions;
-                // first partition wins rather than corrupting the output.
-                stats.dropped_duplicates += 1;
-                continue;
+            // A foreign store could repeat an index in a later partition
+            // number, or misplace one; refuse rather than pick a winner no
+            // reader would pick.
+            if let Some(&last) = done_sorted.last().filter(|&&last| last >= idx) {
+                return Err(format!(
+                    "store partitions at {} are not index-ordered (cell {idx} after cell {last})",
+                    dir.display()
+                ));
             }
             let part = idx / width;
-            if let Some(current) = out_part {
-                if part != current {
-                    if part < current {
-                        return Err(format!(
-                            "store partitions at {} are not index-ordered \
-                             (cell {idx} after partition {current})",
-                            dir.display()
-                        ));
-                    }
-                    flush(current, &mut out_rows, &mut stats)?;
-                }
+            if let Some(current) = out_part.filter(|&current| current != part) {
+                flush(current, &mut out_rows, &mut stats)?;
             }
             out_part = Some(part);
             out_rows.push(row);
@@ -193,10 +185,9 @@ pub fn compact_store(dir: &Path, cells_per_part: Option<usize>) -> Result<Compac
         flush(current, &mut out_rows, &mut stats)?;
     }
 
-    // New manifest: v3 header plus one done line per kept row. A done
-    // entry whose record was lost (torn beyond repair) drops out here,
-    // exactly as the read side already refuses to trust it.
-    done_sorted.sort_unstable();
+    // New manifest: v3 header plus one done line per kept row (already in
+    // index order). A done entry whose record was lost (torn beyond repair)
+    // drops out here, exactly as the read side already refuses to trust it.
     let mut m = String::new();
     m.push_str(&format!(
         "apc-campaign-store {STORE_SCHEMA_VERSION}\nspec {:016x}\ncells {}\nper-part {width}\n",
@@ -229,6 +220,7 @@ pub fn compact_store(dir: &Path, cells_per_part: Option<usize>) -> Result<Compac
 mod tests {
     use super::*;
     use crate::query::{scan_store, RowFilter, ScanFlow};
+    use crate::store::tests::write_v2_store;
     use crate::store::{ResultStore, STORE_SCHEMA_V2};
     use std::path::PathBuf;
 
@@ -295,12 +287,8 @@ mod tests {
     #[test]
     fn compact_migrates_v2_to_v3_with_bit_identical_rows() {
         let dir = temp_dir("migrate");
-        let mut store =
-            ResultStore::create_with_schema(&dir, 0xfeed, 200, STORE_SCHEMA_V2).unwrap();
-        for i in 0..150 {
-            store.append(&row(i)).unwrap();
-        }
-        drop(store);
+        let rows: Vec<CellRow> = (0..150).map(row).collect();
+        write_v2_store(&dir, 0xfeed, 200, &rows);
         let before = scan_all(&dir);
         let stats = compact_store(&dir, None).unwrap();
         assert_eq!(stats.from_schema, STORE_SCHEMA_V2);
@@ -370,6 +358,65 @@ mod tests {
         assert_eq!(again.rows, 79);
         assert_eq!(again.dropped_duplicates, 0);
         assert_eq!(scan_all(&dir).len(), 79);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn compact_resolves_worker_split_duplicates_like_every_reader() {
+        // A lease stolen mid-batch leaves cell 2 in two workers' files of
+        // partition 0; w1's record (the later file) is the one readers keep.
+        let dir = temp_dir("worker-split");
+        drop(ResultStore::create(&dir, 0xfeed, 200).unwrap());
+        let mut w0 = ResultStore::open_worker(&dir, 0).unwrap();
+        let mut w1 = ResultStore::open_worker(&dir, 1).unwrap();
+        w0.set_sync(false);
+        w1.set_sync(false);
+        w0.append(&row(0)).unwrap();
+        w1.append(&row(1)).unwrap();
+        w0.append(&row(64)).unwrap();
+        let mut stolen = row(2);
+        stolen.launched_jobs = 111;
+        w0.append(&stolen).unwrap();
+        stolen.launched_jobs = 222;
+        w1.append(&stolen).unwrap();
+        drop((w0, w1));
+
+        let before = scan_all(&dir);
+        assert_eq!(
+            before.iter().find(|r| r.index == 2).unwrap().launched_jobs,
+            222
+        );
+        let stats = compact_store(&dir, None).unwrap();
+        assert_eq!((stats.rows, stats.dropped_duplicates), (4, 1));
+        let after = scan_all(&dir);
+        let loaded = ResultStore::open(&dir).unwrap().rows();
+        for (label, rows) in [
+            ("scan after compact", &after),
+            ("open after compact", &loaded),
+        ] {
+            assert_eq!(rows.len(), before.len(), "{label}");
+            for (a, b) in before.iter().zip(rows.iter()) {
+                assert!(
+                    crate::colstore::rows_bit_identical(a, b),
+                    "{label}: cell {} differs",
+                    a.index
+                );
+            }
+        }
+        // Every compacted block holds its cells in strictly increasing order.
+        for (_, path) in sorted_part_paths(&dir.join(PARTS_DIR)).unwrap() {
+            let buf = crate::colstore::PartitionBuf::read(&path).unwrap();
+            for b in 0..buf.block_count() {
+                let idx: Vec<usize> = (0..buf.block_rows(b))
+                    .map(|r| buf.cell_index(b, r))
+                    .collect();
+                assert!(
+                    idx.windows(2).all(|w| w[0] < w[1]),
+                    "{}: block {b} holds cells {idx:?}",
+                    path.display()
+                );
+            }
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

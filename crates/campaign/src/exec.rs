@@ -4,9 +4,9 @@
 //! worker (worker `w` starts with cells `w, w + N, w + 2N, …`). Each worker
 //! pulls from the *front* of its own deque; when that runs dry it steals
 //! from the *back* of a victim's deque instead of idling — so one 24 h
-//! straggler cell no longer pins every other worker to an empty shard, the
-//! failure mode of the old static-sharding executor (still available as
-//! [`ExecStrategy::StaticShard`] for comparison benchmarks).
+//! straggler cell never pins the other workers to an empty shard. This is
+//! the one local schedule; distributed worker processes run the same pool
+//! over each leased batch ([`CampaignRunner::run_worker`]).
 //!
 //! For every pulled cell the worker builds (or **reuses**, when the cell
 //! shares the previous cell's platform scale and workload) a
@@ -20,7 +20,7 @@
 //! `(platform, trace, scenario)` triple — workers share nothing mutable but
 //! the trace cache, whose values are pure functions of their keys. Rows are
 //! re-ordered by cell index before aggregation, so the campaign output is
-//! **byte-identical for any thread count and either strategy** (asserted by
+//! **byte-identical for any thread count** (asserted by
 //! `tests/campaign_determinism.rs`), even though which worker runs which
 //! cell is scheduling-dependent under stealing.
 
@@ -31,8 +31,8 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use apc_obs::Registry;
+use apc_replay::figures::platform_for;
 use apc_replay::ReplayHarness;
-use apc_rjms::cluster::Platform;
 use apc_workload::{CurieTraceGenerator, TraceCache};
 
 use crate::agg::{summarize, CellRow, SummaryRow};
@@ -40,18 +40,6 @@ use crate::lease::{now_ms, Backoff, LeaseAction, LeaseLog};
 use crate::obs::{CampaignObs, ExecObs};
 use crate::spec::{CampaignCell, CampaignSpec, CellWorkload, TraceSource};
 use crate::store::ResultStore;
-
-/// How cells are distributed across worker threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecStrategy {
-    /// Per-worker deques with steal-on-empty: an idle worker takes cells
-    /// from the back of a busy worker's deque. The default.
-    #[default]
-    WorkStealing,
-    /// The PR-2 static partition (worker `w` owns cells `w, w + N, …`,
-    /// nothing moves): kept for benchmarks and as a scheduling baseline.
-    StaticShard,
-}
 
 /// Per-worker execution counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -144,7 +132,6 @@ pub struct CampaignRunner {
     spec: CampaignSpec,
     source: TraceSource,
     threads: usize,
-    strategy: ExecStrategy,
     obs: CampaignObs,
 }
 
@@ -155,7 +142,6 @@ impl CampaignRunner {
             spec,
             source: TraceSource::Synthetic,
             threads: 1,
-            strategy: ExecStrategy::default(),
             obs: CampaignObs::disabled(),
         }
     }
@@ -181,20 +167,9 @@ impl CampaignRunner {
         self
     }
 
-    /// Choose the scheduling strategy (builder style).
-    pub fn with_strategy(mut self, strategy: ExecStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
     /// The spec being run.
     pub fn spec(&self) -> &CampaignSpec {
         &self.spec
-    }
-
-    /// The scheduling strategy in effect.
-    pub fn strategy(&self) -> ExecStrategy {
-        self.strategy
     }
 
     /// The expanded cell grid this runner would execute.
@@ -266,13 +241,15 @@ impl CampaignRunner {
     /// resumes it, and the final output is byte-identical to an
     /// uninterrupted run (asserted by `tests/campaign_resume.rs`).
     ///
-    /// The store must belong to this campaign: its manifest fingerprint is
-    /// checked against [`fingerprint`](Self::fingerprint) before anything
-    /// runs.
+    /// The store must belong to this campaign — its manifest fingerprint is
+    /// checked against [`fingerprint`](Self::fingerprint) — and be
+    /// writable (schema v3; a v2 store fails naming `campaign compact`)
+    /// before anything runs.
     pub fn run_with_store(&self, store: &mut ResultStore) -> Result<CampaignOutcome, String> {
         self.spec.validate_for(&self.source)?;
         let cells = self.cells()?;
         store.validate_spec(self.fingerprint(), cells.len())?;
+        store.ensure_writable()?;
         let skipped = store.completed_count();
         let pending: Vec<usize> = (0..cells.len()).filter(|i| !store.contains(*i)).collect();
         let executed = pending.len();
@@ -459,7 +436,6 @@ impl CampaignRunner {
         };
         let obs = ExecObs::new(&registry, self.obs.spans.clone(), threads);
         let queues = WorkQueues::seed(pending, threads);
-        let steal = self.strategy == ExecStrategy::WorkStealing;
         let (tx, rx) = mpsc::channel::<CellRow>();
         let mut sink_err: Option<String> = None;
         std::thread::scope(|scope| {
@@ -477,7 +453,7 @@ impl CampaignRunner {
                     // instead of rebuilding the platform and re-fetching the
                     // trace per cell.
                     let mut harness: Option<HarnessSlot> = None;
-                    while let Some((idx, was_stolen)) = queues.next(worker, steal) {
+                    while let Some((idx, was_stolen)) = queues.next(worker) {
                         obs.set_queue_depth(worker, queues.depth(worker));
                         let cell_span = obs.cell_begin();
                         let row = run_cell(spec, source, cache, &cells[idx], &mut harness);
@@ -568,8 +544,8 @@ struct WorkQueues {
 }
 
 impl WorkQueues {
-    /// Deal `pending` round-robin so worker `w` starts with the same shard
-    /// the static executor would give it.
+    /// Deal `pending` round-robin: worker `w` starts with cells `w`,
+    /// `w + N`, … of the pending list.
     fn seed(pending: &[usize], workers: usize) -> Self {
         let mut deques: Vec<VecDeque<usize>> = (0..workers).map(|_| VecDeque::new()).collect();
         for (i, &cell) in pending.iter().enumerate() {
@@ -588,11 +564,11 @@ impl WorkQueues {
             .len()
     }
 
-    /// Pull the next cell for `worker`: own deque front first, then (when
-    /// stealing is on) the back of the nearest non-empty victim. Returns
-    /// `(cell index, was_stolen)`, or `None` when every deque is drained —
-    /// cells never re-enter a deque, so drained means done.
-    fn next(&self, worker: usize, steal: bool) -> Option<(usize, bool)> {
+    /// Pull the next cell for `worker`: own deque front first, then the
+    /// back of the nearest non-empty victim. Returns `(cell index,
+    /// was_stolen)`, or `None` when every deque is drained — cells never
+    /// re-enter a deque, so drained means done.
+    fn next(&self, worker: usize) -> Option<(usize, bool)> {
         if let Some(idx) = self.deques[worker]
             .lock()
             .expect("work deque poisoned")
@@ -600,34 +576,19 @@ impl WorkQueues {
         {
             return Some((idx, false));
         }
-        if steal {
-            let n = self.deques.len();
-            for offset in 1..n {
-                let victim = (worker + offset) % n;
-                if let Some(idx) = self.deques[victim]
-                    .lock()
-                    .expect("work deque poisoned")
-                    .pop_back()
-                {
-                    return Some((idx, true));
-                }
-            }
-        }
-        None
+        let n = self.deques.len();
+        (1..n).find_map(|offset| {
+            self.deques[(worker + offset) % n]
+                .lock()
+                .expect("work deque poisoned")
+                .pop_back()
+                .map(|idx| (idx, true))
+        })
     }
 }
 
 /// A worker's cached harness and the coordinates it was built for.
 type HarnessSlot = (usize, CellWorkload, ReplayHarness);
-
-/// The platform for a cell's rack scale (>= 56 racks ⇒ the full Curie).
-pub fn platform_for(racks: usize) -> Platform {
-    if racks >= 56 {
-        Platform::curie()
-    } else {
-        Platform::curie_scaled(racks)
-    }
-}
 
 /// Replay one cell and reduce it to its row (runs on a worker thread).
 /// `slot` carries the worker's previous harness for reuse when the cell
@@ -727,24 +688,6 @@ mod tests {
             assert_eq!(w.worker, i);
             assert!(w.stolen <= w.completed);
         }
-    }
-
-    #[test]
-    fn static_sharding_matches_work_stealing_results() {
-        let spec = small_spec();
-        let stealing = CampaignRunner::new(spec.clone())
-            .with_threads(2)
-            .run()
-            .unwrap();
-        let static_shard = CampaignRunner::new(spec)
-            .with_threads(2)
-            .with_strategy(ExecStrategy::StaticShard)
-            .run()
-            .unwrap();
-        assert_eq!(stealing.rows, static_shard.rows);
-        assert_eq!(stealing.summaries, static_shard.summaries);
-        // The static shard never steals, by construction.
-        assert_eq!(static_shard.stats.total_steals(), 0);
     }
 
     #[test]
@@ -852,7 +795,7 @@ mod tests {
         let mut own = 0;
         let mut stolen = 0;
         let mut seen = Vec::new();
-        while let Some((idx, was_stolen)) = queues.next(2, true) {
+        while let Some((idx, was_stolen)) = queues.next(2) {
             seen.push(idx);
             if was_stolen {
                 stolen += 1;
@@ -864,10 +807,5 @@ mod tests {
         assert_eq!(stolen, 4);
         seen.sort_unstable();
         assert_eq!(seen, pending);
-        // And without stealing, an empty own deque ends the worker.
-        let queues = WorkQueues::seed(&pending, 3);
-        assert!(queues.next(0, false).is_some());
-        assert!(queues.next(0, false).is_some());
-        assert!(queues.next(0, false).is_none());
     }
 }

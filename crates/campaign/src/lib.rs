@@ -19,8 +19,8 @@
 //!   `cells/part-NNNN.apc` partitions — see [`colstore`] — plus a manifest
 //!   recording the spec fingerprint and completed cell indices) that rows
 //!   stream into as they finish, giving crash-safe campaigns and
-//!   `--resume`; v2 CSV stores stay readable and [`compact`] migrates
-//!   them;
+//!   `--resume`; it writes schema v3 only, older v2 CSV stores stay
+//!   readable and [`compact`] migrates them;
 //! * [`agg`] — streaming reduction of each replay outcome to a flat
 //!   [`CellRow`](agg::CellRow) plus across-seed mean/min/max/stddev
 //!   [`SummaryRow`](agg::SummaryRow)s, without ever buffering whole
@@ -70,10 +70,7 @@ pub mod prelude {
     pub use crate::colstore::{encode_block, PartitionBuf};
     pub use crate::compact::{compact_store, CompactStats};
     pub use crate::diff::{diff_summary_csv, DiffReport, MetricDelta};
-    pub use crate::exec::{
-        platform_for, CampaignOutcome, CampaignRunner, ExecStrategy, RunStats, WorkerOutcome,
-        WorkerStats,
-    };
+    pub use crate::exec::{CampaignOutcome, CampaignRunner, RunStats, WorkerOutcome, WorkerStats};
     pub use crate::lease::{
         now_ms, Backoff, BatchLease, LeaseAction, LeaseHeader, LeaseLog, LeaseState,
         WorkerLeaseStats, DEFAULT_LEASE_CELLS, DEFAULT_LEASE_TTL_MS, LEASES_NAME,
@@ -97,6 +94,7 @@ pub mod prelude {
         WindowSet, SINGLE_PAPER_WINDOW,
     };
     pub use crate::store::{ResultStore, STORE_SCHEMA_V2, STORE_SCHEMA_VERSION};
+    pub use apc_replay::figures::platform_for;
 }
 
 pub use prelude::*;
@@ -125,5 +123,4 @@ fn thread_safety_audit() {
     // Worker-local state and per-worker results under the stealing executor.
     send::<apc_replay::ReplayHarness>();
     send::<exec::WorkerStats>();
-    send_sync::<exec::ExecStrategy>();
 }

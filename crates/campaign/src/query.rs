@@ -33,7 +33,8 @@ use std::path::{Path, PathBuf};
 use crate::agg::CellRow;
 use crate::colstore::PartitionBuf;
 use crate::store::{
-    is_v3_part, load_part_rows, sorted_part_paths, ParsedManifest, MANIFEST_NAME, PARTS_DIR,
+    is_v3_part, merge_part_group, part_groups, sorted_part_paths, ParsedManifest, MANIFEST_NAME,
+    PARTS_DIR,
 };
 
 /// A conjunctive row filter: every populated field must match.
@@ -662,30 +663,19 @@ impl StoreScanner {
         }
         let is_done = |idx: usize| idx < done.len() && done[idx];
         let parts = sorted_part_paths(&self.dir.join(PARTS_DIR))?;
-        let mut next = 0;
-        while next < parts.len() {
-            let group_start = next;
-            let number = parts[group_start].0;
-            while next < parts.len() && parts[next].0 == number {
-                next += 1;
-            }
-            if next - group_start > 1 {
-                // A distributed campaign whose lease bounced between workers
-                // leaves several files for one partition number
-                // (`part-N-wW.apc`), and a cell's duplicate records can then
-                // span files. Merge the whole group in sorted-file order
-                // before last-wins resolution — per-file resolution would
-                // emit such a cell once per file — trading the zone-map
-                // machinery for a plain merge on this (small, rare) group.
-                let mut merged: BTreeMap<usize, CellRow> = BTreeMap::new();
-                for (_, path) in &parts[group_start..next] {
-                    stats.partitions_scanned += 1;
-                    for row in load_part_rows(path)? {
-                        if is_done(row.index) {
-                            merged.insert(row.index, row);
-                        }
-                    }
-                }
+        let mut merged: BTreeMap<usize, CellRow> = BTreeMap::new();
+        for group in part_groups(&parts) {
+            let path = &group[0].1;
+            if group.len() > 1 || !is_v3_part(path) {
+                // The merge path: a v2 CSV partition, or a distributed
+                // campaign whose lease bounced between workers and left
+                // several files for one partition number (`part-N-wW.apc`),
+                // so a cell's duplicate records can span files. The store's
+                // one rule resolves them; zone maps are not consulted on
+                // this (small, rare) path.
+                stats.partitions_scanned += group.len();
+                merged.clear();
+                merge_part_group(group, is_done, &mut merged)?;
                 for row in merged.values() {
                     if filter.matches(row) {
                         stats.matched += 1;
@@ -697,109 +687,83 @@ impl StoreScanner {
                 }
                 continue;
             }
-            let path = &parts[group_start].1;
-            if is_v3_part(path) {
-                let buf = PartitionBuf::read(path)?;
-                let blocks = buf.block_count();
-                if blocks == 0 {
-                    continue; // fully torn or empty file: nothing trusted
-                }
-                // Resolve the filter once per block: string criteria become
-                // dictionary codes, numeric criteria check the zone maps. A
-                // block that resolves to None provably holds no match.
-                let resolved: Vec<_> = (0..blocks).map(|b| buf.resolve_filter(b, filter)).collect();
-                if resolved.iter().all(|r| r.is_none()) {
-                    // Every block of this partition is proven row-free for
-                    // the filter: skip the partition without touching any
-                    // column data. (Unreachable for an empty filter, which
-                    // always resolves.)
-                    stats.partitions_skipped += 1;
-                    continue;
-                }
-                stats.partitions_scanned += 1;
-                // Cells of one index always land in the same partition, so
-                // last-wins duplicate resolution needs only the (block, row)
-                // of each index's final trusted occurrence — found by
-                // reading the index column alone. The common case (any
-                // compacted store, and every live store that never re-ran a
-                // cell) has strictly increasing indexes, which proves there
-                // are no duplicates and the file order *is* index order: emit
-                // directly, no dedup map. A last occurrence inside an
-                // unmatchable block still wins (and simply emits nothing),
-                // keeping skip decisions and duplicate resolution
-                // independent.
-                let mut monotone = true;
-                let mut prev: Option<usize> = None;
-                'check: for b in 0..blocks {
-                    for r in 0..buf.block_rows(b) {
-                        let idx = buf.cell_index(b, r);
-                        if prev.is_some_and(|p| p >= idx) {
-                            monotone = false;
-                            break 'check;
-                        }
-                        prev = Some(idx);
+            let buf = PartitionBuf::read(path)?;
+            let blocks = buf.block_count();
+            if blocks == 0 {
+                continue; // fully torn or empty file: nothing trusted
+            }
+            // Resolve the filter once per block: string criteria become
+            // dictionary codes, numeric criteria check the zone maps. A
+            // block that resolves to None provably holds no match.
+            let resolved: Vec<_> = (0..blocks).map(|b| buf.resolve_filter(b, filter)).collect();
+            if resolved.iter().all(|r| r.is_none()) {
+                // Every block of this partition is proven row-free for
+                // the filter: skip the partition without touching any
+                // column data. (Unreachable for an empty filter, which
+                // always resolves.)
+                stats.partitions_skipped += 1;
+                continue;
+            }
+            stats.partitions_scanned += 1;
+            // Cells of one index always land in the same partition, so
+            // last-wins duplicate resolution needs only the (block, row)
+            // of each index's final trusted occurrence — found by
+            // reading the index column alone. The common case (any
+            // compacted store, and every live store that never re-ran a
+            // cell) has strictly increasing indexes, which proves there
+            // are no duplicates and the file order *is* index order: emit
+            // directly, no dedup map. A last occurrence inside an
+            // unmatchable block still wins (and simply emits nothing),
+            // keeping skip decisions and duplicate resolution
+            // independent.
+            let mut monotone = true;
+            let mut prev: Option<usize> = None;
+            'check: for b in 0..blocks {
+                for r in 0..buf.block_rows(b) {
+                    let idx = buf.cell_index(b, r);
+                    if prev.is_some_and(|p| p >= idx) {
+                        monotone = false;
+                        break 'check;
                     }
+                    prev = Some(idx);
                 }
-                if monotone {
-                    for (b, rf) in resolved.iter().enumerate() {
-                        let Some(rf) = rf else { continue };
-                        // An unconstrained filter passes every row, so the
-                        // per-row match call is pure overhead on full scans.
-                        let check = !rf.is_unconstrained();
-                        for r in 0..buf.block_rows(b) {
-                            if is_done(buf.cell_index(b, r)) && (!check || buf.matches(b, r, rf)) {
-                                buf.decode_into_projected(b, r, &mut scratch, projection);
-                                stats.matched += 1;
-                                if on_row(&scratch)? == ScanFlow::Stop {
-                                    stats.stopped_early = true;
-                                    return Ok(stats);
-                                }
+            }
+            if monotone {
+                for (b, rf) in resolved.iter().enumerate() {
+                    let Some(rf) = rf else { continue };
+                    // An unconstrained filter passes every row, so the
+                    // per-row match call is pure overhead on full scans.
+                    let check = !rf.is_unconstrained();
+                    for r in 0..buf.block_rows(b) {
+                        if is_done(buf.cell_index(b, r)) && (!check || buf.matches(b, r, rf)) {
+                            buf.decode_into_projected(b, r, &mut scratch, projection);
+                            stats.matched += 1;
+                            if on_row(&scratch)? == ScanFlow::Stop {
+                                stats.stopped_early = true;
+                                return Ok(stats);
                             }
                         }
                     }
-                    continue;
                 }
-                let mut last: BTreeMap<usize, (usize, usize)> = BTreeMap::new();
-                for b in 0..blocks {
-                    for r in 0..buf.block_rows(b) {
-                        let idx = buf.cell_index(b, r);
-                        if is_done(idx) {
-                            last.insert(idx, (b, r));
-                        }
+                continue;
+            }
+            let mut last: BTreeMap<usize, (usize, usize)> = BTreeMap::new();
+            for b in 0..blocks {
+                for r in 0..buf.block_rows(b) {
+                    let idx = buf.cell_index(b, r);
+                    if is_done(idx) {
+                        last.insert(idx, (b, r));
                     }
                 }
-                for &(b, r) in last.values() {
-                    let Some(rf) = &resolved[b] else { continue };
-                    if buf.matches(b, r, rf) {
-                        buf.decode_into_projected(b, r, &mut scratch, projection);
-                        stats.matched += 1;
-                        if on_row(&scratch)? == ScanFlow::Stop {
-                            stats.stopped_early = true;
-                            return Ok(stats);
-                        }
-                    }
-                }
-            } else {
-                stats.partitions_scanned += 1;
-                let text = fs::read_to_string(path)
-                    .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-                // Per-partition map resolving duplicates to the last
-                // parseable record, as in the full loader.
-                let mut rows: BTreeMap<usize, CellRow> = BTreeMap::new();
-                for line in text.lines().skip(1) {
-                    if let Ok(row) = CellRow::parse_store_line(line) {
-                        if is_done(row.index) {
-                            rows.insert(row.index, row);
-                        }
-                    }
-                }
-                for row in rows.values() {
-                    if filter.matches(row) {
-                        stats.matched += 1;
-                        if on_row(row)? == ScanFlow::Stop {
-                            stats.stopped_early = true;
-                            return Ok(stats);
-                        }
+            }
+            for &(b, r) in last.values() {
+                let Some(rf) = &resolved[b] else { continue };
+                if buf.matches(b, r, rf) {
+                    buf.decode_into_projected(b, r, &mut scratch, projection);
+                    stats.matched += 1;
+                    if on_row(&scratch)? == ScanFlow::Stop {
+                        stats.stopped_early = true;
+                        return Ok(stats);
                     }
                 }
             }
@@ -864,12 +828,19 @@ mod tests {
     /// A 200-cell store spanning several partitions, alternating workloads.
     /// `schema` picks the partition codec; both must behave identically.
     fn build_store_with_schema(dir: &Path, schema: u32) {
-        let mut store =
-            crate::store::ResultStore::create_with_schema(dir, 0xabcd, 200, schema).unwrap();
-        for i in 0..200 {
+        let rows = (0..200).map(|i| {
             let workload = if i % 2 == 0 { "medianjob" } else { "24h" };
             let scenario = if i % 4 == 0 { "60%/SHUT" } else { "100%/None" };
-            store.append(&row(i, workload, scenario)).unwrap();
+            row(i, workload, scenario)
+        });
+        if schema == crate::store::STORE_SCHEMA_V2 {
+            let rows: Vec<CellRow> = rows.collect();
+            crate::store::tests::write_v2_store(dir, 0xabcd, 200, &rows);
+            return;
+        }
+        let mut store = crate::store::ResultStore::create(dir, 0xabcd, 200).unwrap();
+        for r in rows {
+            store.append(&r).unwrap();
         }
     }
 

@@ -872,6 +872,17 @@ mod tests {
     }
 
     #[test]
+    fn paper_fingerprint_is_pinned() {
+        // Manifests and lease logs record this value: a change to the
+        // byte-wise FNV-1a fold, or to what it folds, orphans every
+        // existing store and lease log.
+        assert_eq!(
+            CampaignSpec::paper(2012, 3).fingerprint(&TraceSource::Synthetic),
+            0x8a19_3831_1092_e1fa
+        );
+    }
+
+    #[test]
     fn scenario_windows_follow_the_interval_duration() {
         let spec = CampaignSpec {
             intervals: vec![IntervalKind::Day24h],

@@ -18,18 +18,25 @@
 //! crash between the two writes, or a record torn mid-write) is simply not
 //! trusted and the cell reruns on resume.
 //!
-//! Schema v3 partitions (`part-NNNN.apc`) are sequences of self-contained
-//! columnar blocks (see [`crate::colstore`]): the executor appends one
-//! single-row block per finished cell, each carrying its own dictionaries,
-//! zone maps and checksum; `campaign compact` later merges them into one
-//! wide block per partition. Schema v2 stores (`part-NNNN.csv`, text rows)
-//! remain fully readable — every reader dispatches on the partition file's
-//! extension, never on the manifest, which also makes the compact swap
-//! crash-tolerant. Either way floats round-trip bit-exactly (v2 via
-//! shortest round-trip `Display`, v3 via raw bit patterns), so a campaign
-//! resumed from disk — or exported from either schema — renders
-//! byte-identical CSV/JSON. Duplicate records for one index (a torn record
-//! followed by its rerun) resolve to the **last** intact occurrence.
+//! Partitions (`part-NNNN.apc`) are sequences of self-contained columnar
+//! blocks (see [`crate::colstore`]): the executor appends one single-row
+//! block per finished cell, each carrying its own dictionaries, zone maps
+//! and checksum; `campaign compact` later merges them into wide blocks.
+//! The store writes schema v3 only. Stores written as schema v2
+//! (`part-NNNN.csv`, text rows) stay readable — every reader dispatches on
+//! the partition file's extension, never on the manifest, which also makes
+//! the compact swap crash-tolerant — but appending to one is an error:
+//! `campaign compact DIR` migrates it to v3 in place. Either way floats
+//! round-trip bit-exactly (v2 via shortest round-trip `Display`, v3 via raw
+//! bit patterns), so a campaign resumed from disk — or exported from either
+//! schema — renders byte-identical CSV/JSON.
+//!
+//! Duplicate records for one index (a torn record followed by its rerun, or
+//! a cell two distributed workers both recorded) have one resolution rule,
+//! `merge_part_group`: all files of one partition number are read in
+//! `sorted_part_paths` order and the **last** trusted record wins. The
+//! full loader, `campaign compact` and the scanner's merge path all call
+//! it.
 //!
 //! Appends are fsync'd by default — the partition file before the `done`
 //! line, the manifest after it — so a crash cannot reorder a completion
@@ -37,9 +44,7 @@
 //! tests and benches). Distributed workers
 //! ([`ResultStore::open_worker`]) write worker-owned
 //! `cells/part-NNNN-wW.apc` partitions and share only the manifest, whose
-//! `done` lines are single atomic `O_APPEND` writes; readers merge all
-//! files of one partition number in (plain, then worker-id) order with the
-//! same last-wins rule.
+//! `done` lines are single atomic `O_APPEND` writes.
 //!
 //! [`CampaignSpec::fingerprint`]: crate::spec::CampaignSpec::fingerprint
 
@@ -66,15 +71,15 @@ const MANIFEST_MAGIC: &str = "apc-campaign-store";
 /// blocks), labelled rows extend them (24 fields, `"APC4"` blocks), and
 /// readers fill `"-"` for the missing columns — so no schema bump, and
 /// stores written before the refactor open unchanged. v2 stores stay
-/// readable and resumable — readers
-/// dispatch on the partition file extension — but a v1 store cannot be
-/// opened: the row codec and the spec fingerprint both changed, so
+/// readable — readers dispatch on the partition file extension — and
+/// `campaign compact` migrates them to v3; a v1 store cannot be opened:
+/// the row codec and the spec fingerprint both changed, so
 /// [`ResultStore::open`] rejects it with a versioned error instead of
 /// re-running cells into a mixed-layout store.
 pub const STORE_SCHEMA_VERSION: u32 = 3;
 
-/// The previous (text CSV partition) schema, still supported for reads,
-/// resume and as an explicit `--store-schema 2` write target.
+/// The previous (text CSV partition) schema: still readable, never
+/// written; `campaign compact` migrates a v2 store to v3 in place.
 pub const STORE_SCHEMA_V2: u32 = 2;
 
 /// Default number of cells per partition file.
@@ -136,9 +141,9 @@ pub(crate) fn is_v3_part(path: &Path) -> bool {
 
 /// Decode every record of one partition file, whatever its codec, in file
 /// order. Torn records are dropped by the codec (unparseable CSV line /
-/// checksum-failing block); `done`-set filtering and last-wins duplicate
-/// resolution are the caller's, exactly as before.
-pub(crate) fn load_part_rows(path: &Path) -> Result<Vec<CellRow>, String> {
+/// checksum-failing block); trust and duplicate resolution are
+/// [`merge_part_group`]'s.
+fn load_part_rows(path: &Path) -> Result<Vec<CellRow>, String> {
     if is_v3_part(path) {
         Ok(PartitionBuf::read(path)?.decode_all())
     } else {
@@ -150,6 +155,45 @@ pub(crate) fn load_part_rows(path: &Path) -> Result<Vec<CellRow>, String> {
             .filter_map(|line| CellRow::parse_store_line(line).ok())
             .collect())
     }
+}
+
+/// Records [`merge_part_group`] passed over.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct MergeCounts {
+    /// Trusted records superseded by a later record of the same index.
+    pub(crate) duplicates: usize,
+    /// Records whose index `trusted` rejected (no `done` manifest entry).
+    pub(crate) untrusted: usize,
+}
+
+/// The store's one duplicate-resolution rule. `files` is one partition
+/// number's group of [`sorted_part_paths`] (the plain file, then each
+/// worker's file by worker id); every record of every file is read in that
+/// order and the **last** record of each `trusted` index is kept in
+/// `rows`. A cell re-run after a torn write, or recorded by two workers
+/// when a lease was stolen, therefore resolves the same way in every reader.
+pub(crate) fn merge_part_group(
+    files: &[(usize, PathBuf)],
+    trusted: impl Fn(usize) -> bool,
+    rows: &mut BTreeMap<usize, CellRow>,
+) -> Result<MergeCounts, String> {
+    let mut counts = MergeCounts::default();
+    for (_, path) in files {
+        for row in load_part_rows(path)? {
+            if !trusted(row.index) {
+                counts.untrusted += 1;
+            } else if rows.insert(row.index, row).is_some() {
+                counts.duplicates += 1;
+            }
+        }
+    }
+    Ok(counts)
+}
+
+/// Split [`sorted_part_paths`] output into its per-partition-number groups
+/// (the unit [`merge_part_group`] resolves).
+pub(crate) fn part_groups(parts: &[(usize, PathBuf)]) -> impl Iterator<Item = &[(usize, PathBuf)]> {
+    parts.chunk_by(|a, b| a.0 == b.0)
 }
 
 /// A parsed `manifest.txt`: the header fields plus the trusted `done` set.
@@ -238,21 +282,10 @@ impl ParsedManifest {
     }
 }
 
-/// Read the final byte of a non-empty file.
-fn last_byte(path: &Path, len: u64) -> io::Result<u8> {
-    use std::io::{Read, Seek, SeekFrom};
-    let mut file = fs::File::open(path)?;
-    file.seek(SeekFrom::Start(len - 1))?;
-    let mut byte = [0u8; 1];
-    file.read_exact(&mut byte)?;
-    Ok(byte[0])
-}
-
 /// An append-only, crash-resumable campaign result store.
 ///
-/// Create one with [`ResultStore::create`] for a fresh campaign (schema
-/// v3), [`ResultStore::create_with_schema`] to pin the schema explicitly,
-/// or [`ResultStore::open`] to resume; the executor calls
+/// Create one with [`ResultStore::create`] for a fresh campaign, or
+/// [`ResultStore::open`] to resume; the executor calls
 /// [`append`](ResultStore::append) once per finished cell.
 #[derive(Debug)]
 pub struct ResultStore {
@@ -296,20 +329,17 @@ impl ResultStore {
         Self::create_with_schema(dir, spec_hash, total_cells, STORE_SCHEMA_VERSION)
     }
 
-    /// [`create`](Self::create), but writing the given schema version:
-    /// [`STORE_SCHEMA_VERSION`] (v3, binary columnar — the default) or
-    /// [`STORE_SCHEMA_V2`] (text CSV partitions, for interop with older
-    /// tooling).
+    /// [`create`](Self::create) with the schema version spelled out. Only
+    /// [`STORE_SCHEMA_VERSION`] is written; any other version is rejected.
     pub fn create_with_schema(
         dir: impl Into<PathBuf>,
         spec_hash: u64,
         total_cells: usize,
         schema: u32,
     ) -> io::Result<Self> {
-        if schema != STORE_SCHEMA_VERSION && schema != STORE_SCHEMA_V2 {
+        if schema != STORE_SCHEMA_VERSION {
             return Err(io::Error::other(format!(
-                "unsupported store schema v{schema} (supported: \
-                 v{STORE_SCHEMA_V2}, v{STORE_SCHEMA_VERSION})"
+                "unsupported store schema v{schema} (supported: v{STORE_SCHEMA_VERSION})"
             )));
         }
         let dir = dir.into();
@@ -367,12 +397,9 @@ impl ResultStore {
         // Load rows from the partitions, trusting only indices in the done
         // set and keeping the last intact record per index.
         let mut rows = BTreeMap::new();
-        for (_, path) in sorted_part_paths(&dir.join(PARTS_DIR))? {
-            for row in load_part_rows(&path)? {
-                if done.contains(&row.index) {
-                    rows.insert(row.index, row);
-                }
-            }
+        let parts = sorted_part_paths(&dir.join(PARTS_DIR))?;
+        for group in part_groups(&parts) {
+            merge_part_group(group, |idx| done.contains(&idx), &mut rows)?;
         }
         // A done entry whose row is missing or unreadable is dropped from
         // the trusted set; the executor will simply rerun that cell.
@@ -489,60 +516,54 @@ impl ResultStore {
         Ok(())
     }
 
+    /// Refuse to write into a store that is not schema v3. A v2 store
+    /// stays readable, but it is migrated before anything is appended.
+    pub(crate) fn ensure_writable(&self) -> Result<(), String> {
+        if self.schema == STORE_SCHEMA_VERSION {
+            return Ok(());
+        }
+        Err(format!(
+            "store at {dir} is schema v{} and read-only: run `campaign compact {dir}` \
+             to migrate it to v{STORE_SCHEMA_VERSION} in place, then resume",
+            self.schema,
+            dir = self.dir.display(),
+        ))
+    }
+
     /// Append one finished cell: the row goes to its partition file first
     /// (fsync'd, unless [`set_sync`](Self::set_sync) turned syncing off),
     /// then the `done` line to the manifest (fsync'd likewise) — the
     /// ordering that makes a crash at any point safe: a `done` entry is
-    /// only ever durable *after* the row it vouches for.
+    /// only ever durable *after* the row it vouches for. Fails on a v2
+    /// store, naming `campaign compact DIR` as the migration.
     pub fn append(&mut self, row: &CellRow) -> io::Result<()> {
+        self.ensure_writable().map_err(io::Error::other)?;
         let part_no = row.index / self.cells_per_part;
         if self.current_part.as_ref().map(|(n, _)| *n) != Some(part_no) {
             let path = self.part_path(part_no);
-            if self.schema == STORE_SCHEMA_V2 {
-                let mut file = fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(&path)?;
-                let len = file.metadata()?.len();
-                if len == 0 {
-                    writeln!(file, "{PART_CSV_HEADER}")?;
-                } else if last_byte(&path, len)? != b'\n' {
-                    // The previous run died mid-record: terminate the torn
-                    // line so this append starts cleanly (the torn row is
-                    // already untrusted — its `done` entry was never
-                    // written).
-                    file.write_all(b"\n")?;
-                }
-                self.current_part = Some((part_no, file));
-            } else {
-                // v3: if the previous run died mid-block, truncate the file
-                // to its trusted prefix so the new block is reachable (a
-                // block after torn bytes would never parse).
-                match fs::read(&path) {
-                    Ok(data) => {
-                        let len = data.len();
-                        let trusted = PartitionBuf::parse(data).trusted_len();
-                        if trusted < len {
-                            let file = fs::OpenOptions::new().write(true).open(&path)?;
-                            file.set_len(trusted as u64)?;
-                        }
+            // If the previous run died mid-block, truncate the file to its
+            // trusted prefix so the new block is reachable (a block after
+            // torn bytes would never parse).
+            match fs::read(&path) {
+                Ok(data) => {
+                    let len = data.len();
+                    let trusted = PartitionBuf::parse(data).trusted_len();
+                    if trusted < len {
+                        let file = fs::OpenOptions::new().write(true).open(&path)?;
+                        file.set_len(trusted as u64)?;
                     }
-                    Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                    Err(e) => return Err(e),
                 }
-                let file = fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(&path)?;
-                self.current_part = Some((part_no, file));
+                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+                Err(e) => return Err(e),
             }
+            let file = fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(&path)?;
+            self.current_part = Some((part_no, file));
         }
         let (_, file) = self.current_part.as_mut().expect("part handle just set");
-        if self.schema == STORE_SCHEMA_V2 {
-            writeln!(file, "{}", row.to_store_line())?;
-        } else {
-            file.write_all(&colstore::encode_block(std::slice::from_ref(row)))?;
-        }
+        file.write_all(&colstore::encode_block(std::slice::from_ref(row)))?;
         file.flush()?;
         if self.sync {
             file.sync_data()?;
@@ -563,14 +584,10 @@ impl ResultStore {
         Ok(())
     }
 
-    /// Path of partition `part_no` under this store's write schema (with
-    /// the owning worker's suffix on distributed handles).
+    /// Path of partition `part_no` (with the owning worker's suffix on
+    /// distributed handles).
     fn part_path(&self, part_no: usize) -> PathBuf {
-        let ext = if self.schema == STORE_SCHEMA_V2 {
-            "csv"
-        } else {
-            colstore::PART_EXT_V3
-        };
+        let ext = colstore::PART_EXT_V3;
         let name = match self.worker_tag {
             Some(w) => format!("part-{part_no:04}-w{w}.{ext}"),
             None => format!("part-{part_no:04}.{ext}"),
@@ -583,7 +600,8 @@ impl ResultStore {
         &self.dir
     }
 
-    /// The schema version this store was created/opened with.
+    /// The schema version this store was created/opened with (v2 only for
+    /// an opened legacy store, which is read-only).
     pub fn schema(&self) -> u32 {
         self.schema
     }
@@ -627,8 +645,33 @@ impl ResultStore {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Write a schema-v2 store by hand, byte for byte as the v2 writer laid
+    /// it out: the manifest header plus one `done` line per row, and one
+    /// CSV partition per 64 cells (header line, then the rows in order).
+    pub(crate) fn write_v2_store(dir: &Path, spec_hash: u64, total_cells: usize, rows: &[CellRow]) {
+        let parts = dir.join(PARTS_DIR);
+        fs::create_dir_all(&parts).unwrap();
+        let mut manifest = format!(
+            "{MANIFEST_MAGIC} {STORE_SCHEMA_V2}\nspec {spec_hash:016x}\ncells {total_cells}\n\
+             per-part {DEFAULT_CELLS_PER_PART}\n"
+        );
+        let mut files: BTreeMap<usize, String> = BTreeMap::new();
+        for row in rows {
+            let file = files
+                .entry(row.index / DEFAULT_CELLS_PER_PART)
+                .or_insert_with(|| format!("{PART_CSV_HEADER}\n"));
+            file.push_str(&row.to_store_line());
+            file.push('\n');
+            manifest.push_str(&format!("done {}\n", row.index));
+        }
+        for (part, text) in files {
+            fs::write(parts.join(format!("part-{part:04}.csv")), text).unwrap();
+        }
+        fs::write(dir.join(MANIFEST_NAME), manifest).unwrap();
+    }
 
     fn row(index: usize) -> CellRow {
         CellRow {
@@ -715,50 +758,50 @@ mod tests {
     }
 
     #[test]
-    fn v2_store_writes_csv_and_reads_back() {
+    fn v2_stores_read_back_but_refuse_appends() {
         let dir = temp_dir("v2-compat");
-        let mut store =
-            ResultStore::create_with_schema(&dir, 0xfeed, 200, STORE_SCHEMA_V2).unwrap();
-        assert_eq!(store.schema(), STORE_SCHEMA_V2);
-        for i in [0usize, 64, 150] {
-            store.append(&row(i)).unwrap();
-        }
-        drop(store);
-        assert!(dir.join(PARTS_DIR).join("part-0000.csv").exists());
-        let reopened = ResultStore::open(&dir).unwrap();
+        let rows: Vec<CellRow> = [0usize, 64, 150].map(row).into();
+        write_v2_store(&dir, 0xfeed, 200, &rows);
+        let mut reopened = ResultStore::open(&dir).unwrap();
         assert_eq!(reopened.schema(), STORE_SCHEMA_V2);
-        let rows = reopened.rows();
+        let read = reopened.rows();
         assert_eq!(
-            rows.iter().map(|r| r.index).collect::<Vec<_>>(),
+            read.iter().map(|r| r.index).collect::<Vec<_>>(),
             [0, 64, 150]
         );
-        for r in &rows {
+        for r in &read {
             assert_eq!(
                 r.work_core_seconds.to_bits(),
                 row(r.index).work_core_seconds.to_bits()
             );
         }
-        // Resuming a v2 store keeps appending CSV.
-        let mut resumed = ResultStore::open(&dir).unwrap();
-        resumed.append(&row(1)).unwrap();
-        drop(resumed);
+        // Appending to a v2 store names the migration instead of writing.
+        let err = reopened.append(&row(1)).unwrap_err().to_string();
+        assert!(
+            err.contains(&format!("campaign compact {}", dir.display())),
+            "got: {err}"
+        );
+        drop(reopened);
+        assert_eq!(ResultStore::open(&dir).unwrap().completed_count(), 3);
         assert!(!dir.join(PARTS_DIR).join("part-0000.apc").exists());
-        assert_eq!(ResultStore::open(&dir).unwrap().completed_count(), 4);
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn labelled_rows_round_trip_through_both_schemas() {
+        let mut labelled = row(0);
+        labelled.scenario = "SCHED/SHUT".into();
+        labelled.schedule = "0+7200@80|7200+10800@40".into();
+        labelled.faults = "3x600@7".into();
         for schema in [STORE_SCHEMA_V2, STORE_SCHEMA_VERSION] {
             let dir = temp_dir(&format!("labels-v{schema}"));
-            let mut store = ResultStore::create_with_schema(&dir, 0xfeed, 10, schema).unwrap();
-            let mut labelled = row(0);
-            labelled.scenario = "SCHED/SHUT".into();
-            labelled.schedule = "0+7200@80|7200+10800@40".into();
-            labelled.faults = "3x600@7".into();
-            store.append(&labelled).unwrap();
-            store.append(&row(1)).unwrap();
-            drop(store);
+            if schema == STORE_SCHEMA_V2 {
+                write_v2_store(&dir, 0xfeed, 10, &[labelled.clone(), row(1)]);
+            } else {
+                let mut store = ResultStore::create(&dir, 0xfeed, 10).unwrap();
+                store.append(&labelled).unwrap();
+                store.append(&row(1)).unwrap();
+            }
             let rows = ResultStore::open(&dir).unwrap().rows();
             assert_eq!(rows.len(), 2, "schema v{schema}");
             assert_eq!(rows[0].schedule, "0+7200@80|7200+10800@40");
@@ -774,6 +817,9 @@ mod tests {
         let dir = temp_dir("bad-schema");
         let err = ResultStore::create_with_schema(&dir, 1, 10, 7).unwrap_err();
         assert!(err.to_string().contains("unsupported store schema v7"));
+        // v2 is read-only: creating one is rejected the same way.
+        let err = ResultStore::create_with_schema(&dir, 1, 10, STORE_SCHEMA_V2).unwrap_err();
+        assert!(err.to_string().contains("unsupported store schema v2"));
         let _ = fs::remove_dir_all(&dir);
     }
 

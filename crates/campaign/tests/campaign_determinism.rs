@@ -2,9 +2,9 @@
 //! byte-identical for `--threads 1`, `2` and `8` on the same grid — the
 //! executor's core guarantee, which the work-stealing scheduler must
 //! uphold even though which worker runs which cell is now
-//! scheduling-dependent. Checked for the in-memory path, the
+//! scheduling-dependent. Checked for the in-memory path and the
 //! store-backed path (rows round-tripping through the partitioned
-//! on-disk store), and the static-shard strategy.
+//! on-disk store).
 
 use apc_campaign::prelude::*;
 use apc_core::PowercapPolicy;
@@ -67,15 +67,11 @@ fn repeated_runs_are_byte_identical() {
 
 /// Run the small grid through the on-disk store and render with the sink
 /// frontends, returning the four output files' bytes.
-fn store_outputs(threads: usize, strategy: ExecStrategy) -> [Vec<u8>; 4] {
-    let dir = std::env::temp_dir().join(format!(
-        "apc-determinism-{threads}-{strategy:?}-{}",
-        std::process::id()
-    ));
+fn store_outputs(threads: usize) -> [Vec<u8>; 4] {
+    let dir =
+        std::env::temp_dir().join(format!("apc-determinism-{threads}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let runner = CampaignRunner::new(small_grid())
-        .with_threads(threads)
-        .with_strategy(strategy);
+    let runner = CampaignRunner::new(small_grid()).with_threads(threads);
     let mut store =
         ResultStore::create(&dir, runner.fingerprint(), runner.cells().unwrap().len()).unwrap();
     let outcome = runner.run_with_store(&mut store).unwrap();
@@ -104,10 +100,9 @@ fn sweep_grid() -> CampaignSpec {
     }
 }
 
-fn sweep_outputs(threads: usize, strategy: ExecStrategy) -> [String; 4] {
+fn sweep_outputs(threads: usize) -> [String; 4] {
     let outcome = CampaignRunner::new(sweep_grid())
         .with_threads(threads)
-        .with_strategy(strategy)
         .run()
         .unwrap();
     [
@@ -120,7 +115,7 @@ fn sweep_outputs(threads: usize, strategy: ExecStrategy) -> [String; 4] {
 
 #[test]
 fn window_and_load_sweep_output_is_byte_identical_across_threads_and_strategies() {
-    let reference = sweep_outputs(1, ExecStrategy::WorkStealing);
+    let reference = sweep_outputs(1);
     // 2 loads × (1 baseline + 2 windows × 1 cap × 2 policies) = 10 cells.
     assert_eq!(reference[0].lines().count(), 1 + 10);
     // Window sweeps must stay distinct summary groups: the two window sets
@@ -128,22 +123,8 @@ fn window_and_load_sweep_output_is_byte_identical_across_threads_and_strategies(
     assert_eq!(reference[1].lines().count(), 1 + 10);
     assert!(reference[0].contains("0+1800|16200+1800"));
     for (label, outputs) in [
-        (
-            "steal --threads 2",
-            sweep_outputs(2, ExecStrategy::WorkStealing),
-        ),
-        (
-            "steal --threads 8",
-            sweep_outputs(8, ExecStrategy::WorkStealing),
-        ),
-        (
-            "static --threads 2",
-            sweep_outputs(2, ExecStrategy::StaticShard),
-        ),
-        (
-            "static --threads 8",
-            sweep_outputs(8, ExecStrategy::StaticShard),
-        ),
+        ("--threads 2", sweep_outputs(2)),
+        ("--threads 8", sweep_outputs(8)),
     ] {
         for (name, (a, b)) in ["cells.csv", "summary.csv", "cells.json", "summary.json"]
             .iter()
@@ -170,10 +151,9 @@ fn scenario_grid() -> CampaignSpec {
     }
 }
 
-fn scenario_outputs(threads: usize, strategy: ExecStrategy) -> [String; 4] {
+fn scenario_outputs(threads: usize) -> [String; 4] {
     let outcome = CampaignRunner::new(scenario_grid())
         .with_threads(threads)
-        .with_strategy(strategy)
         .run()
         .unwrap();
     [
@@ -186,7 +166,7 @@ fn scenario_outputs(threads: usize, strategy: ExecStrategy) -> [String; 4] {
 
 #[test]
 fn schedule_and_fault_grid_is_byte_identical_across_threads_and_strategies() {
-    let reference = scenario_outputs(1, ExecStrategy::WorkStealing);
+    let reference = scenario_outputs(1);
     // 2 seeds × (1 baseline + 2 capped + 1 schedule × 2 policies) × 2 fault
     // axis values = 20 cells; seeds collapse to 10 summary groups.
     assert_eq!(reference[0].lines().count(), 1 + 20);
@@ -223,22 +203,8 @@ fn schedule_and_fault_grid_is_byte_identical_across_threads_and_strategies() {
     assert_eq!(faulted_cells, 10);
     assert!(perturbed, "fault injection must perturb at least one cell");
     for (label, outputs) in [
-        (
-            "steal --threads 2",
-            scenario_outputs(2, ExecStrategy::WorkStealing),
-        ),
-        (
-            "steal --threads 8",
-            scenario_outputs(8, ExecStrategy::WorkStealing),
-        ),
-        (
-            "static --threads 2",
-            scenario_outputs(2, ExecStrategy::StaticShard),
-        ),
-        (
-            "static --threads 8",
-            scenario_outputs(8, ExecStrategy::StaticShard),
-        ),
+        ("--threads 2", scenario_outputs(2)),
+        ("--threads 8", scenario_outputs(8)),
     ] {
         for (name, (a, b)) in ["cells.csv", "summary.csv", "cells.json", "summary.json"]
             .iter()
@@ -251,7 +217,7 @@ fn schedule_and_fault_grid_is_byte_identical_across_threads_and_strategies() {
 
 #[test]
 fn store_backed_output_is_byte_identical_across_threads_and_strategies() {
-    let reference = store_outputs(1, ExecStrategy::WorkStealing);
+    let reference = store_outputs(1);
     // The in-memory render and the store round-trip agree byte for byte.
     let in_memory = rendered_outputs(1);
     for (name, (mem, disk)) in ["cells.csv", "summary.csv", "cells.json", "summary.json"]
@@ -264,20 +230,10 @@ fn store_backed_output_is_byte_identical_across_threads_and_strategies() {
             "{name} differs between the in-memory render and the store frontend"
         );
     }
-    // Thread counts and scheduling strategies are invisible in the output.
+    // Thread counts are invisible in the output.
     for (label, outputs) in [
-        (
-            "steal --threads 2",
-            store_outputs(2, ExecStrategy::WorkStealing),
-        ),
-        (
-            "steal --threads 8",
-            store_outputs(8, ExecStrategy::WorkStealing),
-        ),
-        (
-            "static --threads 2",
-            store_outputs(2, ExecStrategy::StaticShard),
-        ),
+        ("--threads 2", store_outputs(2)),
+        ("--threads 8", store_outputs(8)),
     ] {
         for (name, (a, b)) in ["cells.csv", "summary.csv", "cells.json", "summary.json"]
             .iter()

@@ -185,7 +185,7 @@ fn resume_of_a_v1_schema_store_is_rejected_with_a_versioned_error() {
 
 #[test]
 fn sweep_campaign_resumes_byte_identically() {
-    // Crash-resume under schema v2 on a grid that uses the new axes: a
+    // Crash-resume on a grid that uses the sweep axes: a
     // multi-window sweep × two load factors, interrupted after 3 cells.
     let grid = || CampaignSpec {
         cap_windows: vec![vec![SINGLE_PAPER_WINDOW], vec![(0.0, 1800), (1.0, 1800)]],

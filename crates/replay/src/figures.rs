@@ -29,7 +29,9 @@ use crate::scenario::Scenario;
 /// full scale (6 racks = 540 nodes keeps every scenario under a few seconds).
 pub const DEFAULT_RACKS: usize = 6;
 
-fn platform(racks: usize) -> Platform {
+/// The platform for a rack scale: `racks` Curie racks, or the full Curie
+/// machine from 56 racks up.
+pub fn platform_for(racks: usize) -> Platform {
     if racks >= 56 {
         Platform::curie()
     } else {
@@ -48,7 +50,7 @@ fn harness(
     interval: IntervalKind,
     swf: Option<&Arc<Trace>>,
 ) -> ReplayHarness {
-    let platform = platform(racks);
+    let platform = platform_for(racks);
     match swf {
         Some(trace) => ReplayHarness::from_shared(platform, Arc::clone(trace)),
         None => {
