@@ -687,4 +687,218 @@ mod tests {
         let labels: Vec<&str> = summaries.iter().map(|s| s.scenario.as_str()).collect();
         assert_eq!(labels, ["B", "A"]);
     }
+    /// Three rows that exercise every encoding branch of every column
+    /// kind: a label-free row with no seed and a NaN metric, a labelled
+    /// row with an infinite metric and a separator-carrying label, and a
+    /// label-free row with a tab in a label, a NaN load factor and a
+    /// negative-infinite metric.
+    fn pin_rows() -> [CellRow; 3] {
+        let plain = CellRow {
+            index: 3,
+            racks: 2,
+            workload: "medianjob".into(),
+            seed: None,
+            load_factor: 0.8,
+            scenario: "60%/SHUT".into(),
+            window: "7200+3600".into(),
+            policy: "shut".into(),
+            cap_percent: 60.0,
+            grouping: "grouped".into(),
+            decision_rule: "paper-rho".into(),
+            schedule: "-".into(),
+            faults: "-".into(),
+            launched_jobs: 41,
+            completed_jobs: 37,
+            killed_jobs: 1,
+            pending_jobs: 3,
+            work_core_seconds: 0.1 + 0.2,
+            energy_joules: 1.0e9 / 7.0,
+            energy_normalized: 0.5,
+            launched_jobs_normalized: 1.0 / 3.0,
+            work_normalized: 0.125,
+            mean_wait_seconds: f64::NAN,
+            peak_power_watts: 123456.75,
+        };
+        let labelled = CellRow {
+            index: 7,
+            seed: Some(2012),
+            load_factor: 1.8,
+            scenario: "SCHED/MIX".into(),
+            policy: "mix".into(),
+            cap_percent: 40.0,
+            schedule: "0+7200@80|7200+10800@40".into(),
+            faults: "odd,\"plan\"".into(),
+            killed_jobs: 4,
+            mean_wait_seconds: 12.5,
+            peak_power_watts: f64::INFINITY,
+            ..plain.clone()
+        };
+        let tabbed = CellRow {
+            index: 11,
+            seed: Some(0),
+            workload: "swf".into(),
+            window: "a\tb".into(),
+            load_factor: f64::NAN,
+            energy_normalized: f64::NEG_INFINITY,
+            mean_wait_seconds: 0.0,
+            ..plain.clone()
+        };
+        [plain, labelled, tabbed]
+    }
+
+    #[test]
+    fn row_renders_are_pinned_byte_for_byte() {
+        use crate::query::{numeric, project, QUERY_COLUMNS};
+        use crate::sink::{render_cells_csv, render_cells_json};
+        let [plain, labelled, tabbed] = pin_rows();
+        let free = [plain.clone(), tabbed.clone()];
+        let mixed = [plain, labelled, tabbed];
+        assert_eq!(render_cells_csv(&free), CSV_FREE);
+        assert_eq!(render_cells_csv(&mixed), CSV_MIXED);
+        assert_eq!(render_cells_json(&free), JSON_FREE);
+        assert_eq!(render_cells_json(&mixed), JSON_MIXED);
+        for (r, line) in mixed.iter().zip(STORE_LINES) {
+            assert_eq!(r.to_store_line(), line);
+        }
+        for (r, want) in mixed.iter().zip(PROJECTED) {
+            let got: Vec<String> = QUERY_COLUMNS
+                .iter()
+                .map(|c| project(r, c).unwrap())
+                .collect();
+            assert_eq!(got, want, "project, cell {}", r.index);
+        }
+        // Numbers print as `{:?}`, `None` as "-", the not-numeric error as "E".
+        for (r, want) in mixed.iter().zip(NUMERIC) {
+            let got: Vec<String> = QUERY_COLUMNS
+                .iter()
+                .map(|c| match numeric(r, c) {
+                    Ok(Some(v)) => format!("{v:?}"),
+                    Ok(None) => "-".into(),
+                    Err(_) => "E".into(),
+                })
+                .collect();
+            assert_eq!(got, want, "numeric, cell {}", r.index);
+        }
+        assert_eq!(numeric(&mixed[0], "scenario").unwrap_err(), NOT_NUMERIC);
+        assert_eq!(project(&mixed[0], "nope").unwrap_err(), UNKNOWN);
+    }
+
+    const CSV_FREE: &str = "index,racks,workload,seed,load_factor,scenario,window,policy,\
+cap_percent,grouping,decision_rule,launched_jobs,completed_jobs,killed_jobs,pending_jobs,\
+work_core_seconds,energy_joules,energy_normalized,launched_jobs_normalized,work_normalized,\
+mean_wait_seconds,peak_power_watts\n\
+3,2,medianjob,,0.800000,60%/SHUT,7200+3600,shut,60.000000,grouped,paper-rho,41,37,1,3,\
+0.300000,142857142.857143,0.500000,0.333333,0.125000,,123456.750000\n\
+11,2,swf,0,,60%/SHUT,a\tb,shut,60.000000,grouped,paper-rho,41,37,1,3,0.300000,\
+142857142.857143,,0.333333,0.125000,0.000000,123456.750000\n";
+
+    const CSV_MIXED: &str = "index,racks,workload,seed,load_factor,scenario,window,policy,\
+cap_percent,grouping,decision_rule,schedule,faults,launched_jobs,completed_jobs,killed_jobs,\
+pending_jobs,work_core_seconds,energy_joules,energy_normalized,launched_jobs_normalized,\
+work_normalized,mean_wait_seconds,peak_power_watts\n\
+3,2,medianjob,,0.800000,60%/SHUT,7200+3600,shut,60.000000,grouped,paper-rho,-,-,41,37,1,3,\
+0.300000,142857142.857143,0.500000,0.333333,0.125000,,123456.750000\n\
+7,2,medianjob,2012,1.800000,SCHED/MIX,7200+3600,mix,40.000000,grouped,paper-rho,\
+0+7200@80|7200+10800@40,\"odd,\"\"plan\"\"\",41,37,4,3,0.300000,142857142.857143,0.500000,\
+0.333333,0.125000,12.500000,\n\
+11,2,swf,0,,60%/SHUT,a\tb,shut,60.000000,grouped,paper-rho,-,-,41,37,1,3,0.300000,\
+142857142.857143,,0.333333,0.125000,0.000000,123456.750000\n";
+
+    const JSON_FREE: &str = "[\n  {\"index\": 3, \"racks\": 2, \"workload\": \"medianjob\", \
+\"seed\": null, \"load_factor\": 0.800000, \"scenario\": \"60%/SHUT\", \"window\": \
+\"7200+3600\", \"policy\": \"shut\", \"cap_percent\": 60.000000, \"grouping\": \"grouped\", \
+\"decision_rule\": \"paper-rho\", \"launched_jobs\": 41, \"completed_jobs\": 37, \
+\"killed_jobs\": 1, \"pending_jobs\": 3, \"work_core_seconds\": 0.300000, \"energy_joules\": \
+142857142.857143, \"energy_normalized\": 0.500000, \"launched_jobs_normalized\": 0.333333, \
+\"work_normalized\": 0.125000, \"mean_wait_seconds\": null, \"peak_power_watts\": \
+123456.750000},\n  {\"index\": 11, \"racks\": 2, \"workload\": \"swf\", \"seed\": 0, \
+\"load_factor\": null, \"scenario\": \"60%/SHUT\", \"window\": \"a\\tb\", \"policy\": \
+\"shut\", \"cap_percent\": 60.000000, \"grouping\": \"grouped\", \"decision_rule\": \
+\"paper-rho\", \"launched_jobs\": 41, \"completed_jobs\": 37, \"killed_jobs\": 1, \
+\"pending_jobs\": 3, \"work_core_seconds\": 0.300000, \"energy_joules\": 142857142.857143, \
+\"energy_normalized\": null, \"launched_jobs_normalized\": 0.333333, \"work_normalized\": \
+0.125000, \"mean_wait_seconds\": 0.000000, \"peak_power_watts\": 123456.750000}\n]\n";
+
+    const JSON_MIXED: &str = "[\n  {\"index\": 3, \"racks\": 2, \"workload\": \"medianjob\", \
+\"seed\": null, \"load_factor\": 0.800000, \"scenario\": \"60%/SHUT\", \"window\": \
+\"7200+3600\", \"policy\": \"shut\", \"cap_percent\": 60.000000, \"grouping\": \"grouped\", \
+\"decision_rule\": \"paper-rho\", \"schedule\": \"-\", \"faults\": \"-\", \"launched_jobs\": \
+41, \"completed_jobs\": 37, \"killed_jobs\": 1, \"pending_jobs\": 3, \"work_core_seconds\": \
+0.300000, \"energy_joules\": 142857142.857143, \"energy_normalized\": 0.500000, \
+\"launched_jobs_normalized\": 0.333333, \"work_normalized\": 0.125000, \"mean_wait_seconds\": \
+null, \"peak_power_watts\": 123456.750000},\n  {\"index\": 7, \"racks\": 2, \"workload\": \
+\"medianjob\", \"seed\": 2012, \"load_factor\": 1.800000, \"scenario\": \"SCHED/MIX\", \
+\"window\": \"7200+3600\", \"policy\": \"mix\", \"cap_percent\": 40.000000, \"grouping\": \
+\"grouped\", \"decision_rule\": \"paper-rho\", \"schedule\": \"0+7200@80|7200+10800@40\", \
+\"faults\": \"odd,\\\"plan\\\"\", \"launched_jobs\": 41, \"completed_jobs\": 37, \
+\"killed_jobs\": 4, \"pending_jobs\": 3, \"work_core_seconds\": 0.300000, \"energy_joules\": \
+142857142.857143, \"energy_normalized\": 0.500000, \"launched_jobs_normalized\": 0.333333, \
+\"work_normalized\": 0.125000, \"mean_wait_seconds\": 12.500000, \"peak_power_watts\": null},\n  \
+{\"index\": 11, \"racks\": 2, \"workload\": \"swf\", \"seed\": 0, \"load_factor\": null, \
+\"scenario\": \"60%/SHUT\", \"window\": \"a\\tb\", \"policy\": \"shut\", \"cap_percent\": \
+60.000000, \"grouping\": \"grouped\", \"decision_rule\": \"paper-rho\", \"schedule\": \"-\", \
+\"faults\": \"-\", \"launched_jobs\": 41, \"completed_jobs\": 37, \"killed_jobs\": 1, \
+\"pending_jobs\": 3, \"work_core_seconds\": 0.300000, \"energy_joules\": 142857142.857143, \
+\"energy_normalized\": null, \"launched_jobs_normalized\": 0.333333, \"work_normalized\": \
+0.125000, \"mean_wait_seconds\": 0.000000, \"peak_power_watts\": 123456.750000}\n]\n";
+
+    const STORE_LINES: [&str; 3] = [
+        "3,2,medianjob,,0.8,60%/SHUT,7200+3600,shut,60,grouped,paper-rho,41,37,1,3,\
+0.30000000000000004,142857142.85714287,0.5,0.3333333333333333,0.125,NaN,123456.75",
+        "7,2,medianjob,2012,1.8,SCHED/MIX,7200+3600,mix,40,grouped,paper-rho,41,37,4,3,\
+0.30000000000000004,142857142.85714287,0.5,0.3333333333333333,0.125,12.5,inf,\
+0+7200@80|7200+10800@40,\"odd,\"\"plan\"\"\"",
+        "11,2,swf,0,NaN,60%/SHUT,a\tb,shut,60,grouped,paper-rho,41,37,1,3,\
+0.30000000000000004,142857142.85714287,-inf,0.3333333333333333,0.125,0,123456.75",
+    ];
+
+    #[rustfmt::skip]
+    const PROJECTED: [[&str; 24]; 3] = [
+        [
+            "3", "2", "medianjob", "", "0.8", "60%/SHUT", "7200+3600", "shut", "60", "grouped",
+            "paper-rho", "-", "-", "41", "37", "1", "3", "0.30000000000000004",
+            "142857142.85714287", "0.5", "0.3333333333333333", "0.125", "", "123456.75",
+        ],
+        [
+            "7", "2", "medianjob", "2012", "1.8", "SCHED/MIX", "7200+3600", "mix", "40",
+            "grouped", "paper-rho", "0+7200@80|7200+10800@40", "\"odd,\"\"plan\"\"\"", "41",
+            "37", "4", "3", "0.30000000000000004", "142857142.85714287", "0.5",
+            "0.3333333333333333", "0.125", "12.5", "inf",
+        ],
+        [
+            "11", "2", "swf", "0", "", "60%/SHUT", "a\tb", "shut", "60", "grouped", "paper-rho",
+            "-", "-", "41", "37", "1", "3", "0.30000000000000004", "142857142.85714287", "-inf",
+            "0.3333333333333333", "0.125", "0", "123456.75",
+        ],
+    ];
+
+    #[rustfmt::skip]
+    const NUMERIC: [[&str; 24]; 3] = [
+        [
+            "3.0", "2.0", "E", "-", "0.8", "E", "E", "E", "60.0", "E", "E", "E", "E", "41.0",
+            "37.0", "1.0", "3.0", "0.30000000000000004", "142857142.85714287", "0.5",
+            "0.3333333333333333", "0.125", "-", "123456.75",
+        ],
+        [
+            "7.0", "2.0", "E", "2012.0", "1.8", "E", "E", "E", "40.0", "E", "E", "E", "E", "41.0",
+            "37.0", "4.0", "3.0", "0.30000000000000004", "142857142.85714287", "0.5",
+            "0.3333333333333333", "0.125", "12.5", "inf",
+        ],
+        [
+            "11.0", "2.0", "E", "0.0", "-", "E", "E", "E", "60.0", "E", "E", "E", "E", "41.0",
+            "37.0", "1.0", "3.0", "0.30000000000000004", "142857142.85714287", "-inf",
+            "0.3333333333333333", "0.125", "0.0", "123456.75",
+        ],
+    ];
+
+    const NOT_NUMERIC: &str = "column \"scenario\" is not numeric and cannot be aggregated \
+(numeric: index, racks, seed, load_factor, cap_percent, launched_jobs, completed_jobs, \
+killed_jobs, pending_jobs, work_core_seconds, energy_joules, energy_normalized, \
+launched_jobs_normalized, work_normalized, mean_wait_seconds, peak_power_watts)";
+
+    const UNKNOWN: &str = "unknown column \"nope\" (valid: index, racks, workload, seed, \
+load_factor, scenario, window, policy, cap_percent, grouping, decision_rule, schedule, faults, \
+launched_jobs, completed_jobs, killed_jobs, pending_jobs, work_core_seconds, energy_joules, \
+energy_normalized, launched_jobs_normalized, work_normalized, mean_wait_seconds, \
+peak_power_watts)";
 }
