@@ -53,9 +53,8 @@ use apc_campaign::agg::CellRow;
 use apc_campaign::compact::compact_store;
 use apc_campaign::prelude::{CampaignRunner, CampaignSpec};
 use apc_campaign::query::{Projection, RowFilter, ScanFlow, StoreScanner};
-use apc_campaign::store::{
-    DEFAULT_CELLS_PER_PART, MANIFEST_NAME, PARTS_DIR, PART_CSV_HEADER, STORE_SCHEMA_V2,
-};
+use apc_campaign::sink::cells_csv_header;
+use apc_campaign::store::{DEFAULT_CELLS_PER_PART, MANIFEST_NAME, PARTS_DIR, STORE_SCHEMA_V2};
 use apc_core::{PowercapConfig, PowercapHook, PowercapPolicy};
 use apc_replay::{ReplayHarness, Scenario};
 use apc_rjms::config::ControllerConfig;
@@ -317,7 +316,7 @@ fn write_v2_store(dir: &Path, spec_hash: u64, rows: usize) -> std::io::Result<()
          per-part {DEFAULT_CELLS_PER_PART}\n"
     );
     for (part, first) in (0..rows).step_by(DEFAULT_CELLS_PER_PART).enumerate() {
-        let mut text = format!("{PART_CSV_HEADER}\n");
+        let mut text = cells_csv_header(false) + "\n";
         for i in first..(first + DEFAULT_CELLS_PER_PART).min(rows) {
             text.push_str(&synthetic_row(i, rows).to_store_line());
             text.push('\n');

@@ -10,6 +10,14 @@
 //! across-replication mean / min / max / stddev [`SummaryRow`]s. Rows are
 //! always folded in cell-index order, so every float accumulation is
 //! order-stable and the summaries are byte-identical for any thread count.
+//!
+//! [`COLUMNS`] is the row schema: every column's name, kind and accessor, in
+//! `cells.csv` order. The `cells.*` renderers, the store line, `campaign
+//! query` and the column-name lists all read rows through it; only the
+//! frozen v2 line parser and the v3 block codec ([`crate::colstore`]) name
+//! the fields by hand.
+
+use std::fmt::Write;
 
 use apc_replay::metrics::{NormalizedOutcome, PowerSeries};
 use apc_replay::{ReplayOutcome, ReplaySummary, SimulationReport};
@@ -17,7 +25,7 @@ use apc_replay::{ReplayOutcome, ReplaySummary, SimulationReport};
 use crate::spec::CampaignCell;
 
 /// The flat per-cell result record (one CSV/JSON row).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CellRow {
     /// Cell index in expansion order.
     pub index: usize,
@@ -147,41 +155,31 @@ impl CellRow {
     /// uninterrupted one would. Non-finite values print as `NaN`/`inf`,
     /// which `f64::from_str` accepts back.
     pub fn to_store_line(&self) -> String {
-        use crate::sink::csv_field;
         // Rows without schedule/fault labels keep the original 22-field
         // layout byte for byte; labelled rows append the two columns. The
         // parser accepts both, so stores written before the scenario-engine
         // refactor load unchanged.
-        let labels = if self.schedule == "-" && self.faults == "-" {
-            String::new()
-        } else {
-            format!(",{},{}", csv_field(&self.schedule), csv_field(&self.faults))
-        };
-        format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}{labels}",
-            self.index,
-            self.racks,
-            csv_field(&self.workload),
-            self.seed.map_or_else(String::new, |s| s.to_string()),
-            self.load_factor,
-            csv_field(&self.scenario),
-            csv_field(&self.window),
-            csv_field(&self.policy),
-            self.cap_percent,
-            csv_field(&self.grouping),
-            csv_field(&self.decision_rule),
-            self.launched_jobs,
-            self.completed_jobs,
-            self.killed_jobs,
-            self.pending_jobs,
-            self.work_core_seconds,
-            self.energy_joules,
-            self.energy_normalized,
-            self.launched_jobs_normalized,
-            self.work_normalized,
-            self.mean_wait_seconds,
-            self.peak_power_watts,
-        )
+        let labelled = self.is_labelled();
+        let columns = COLUMNS.iter().filter(|c| !c.optional);
+        let labels = COLUMNS.iter().filter(|c| labelled && c.optional);
+        let mut line = String::new();
+        for (i, column) in columns.chain(labels).enumerate() {
+            if i > 0 {
+                line.push(',');
+            }
+            crate::sink::push_csv_field(&mut line, column.value(self), |out, v| {
+                let _ = write!(out, "{v}");
+            });
+        }
+        line
+    }
+
+    /// Does the row carry a cap-schedule or fault-plan label, i.e. an
+    /// [`optional`](Column::optional) column other than `"-"`?
+    pub fn is_labelled(&self) -> bool {
+        COLUMNS
+            .iter()
+            .any(|c| c.optional && c.value(self) != Value::Label("-"))
     }
 
     /// Decode a store record written by [`to_store_line`](Self::to_store_line).
@@ -261,6 +259,126 @@ impl CellRow {
             self.faults.clone(),
         )
     }
+}
+
+/// One column value of a [`CellRow`], borrowed from the row. The variant
+/// decides how each renderer encodes it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Value<'a> {
+    /// A count or position.
+    Int(u64),
+    /// The generator seed; `None` for a fixed trace.
+    Seed(Option<u64>),
+    /// A measured or configured real number; may be NaN or infinite.
+    Float(f64),
+    /// A text label.
+    Label(&'a str),
+}
+
+/// How a [`Column`] reads a row; the variant fixes the column's kind at
+/// compile time, so the derived name lists can be constants.
+#[derive(Debug, Clone, Copy)]
+enum Get {
+    Int(fn(&CellRow) -> u64),
+    Seed(fn(&CellRow) -> Option<u64>),
+    Float(fn(&CellRow) -> f64),
+    Label(fn(&CellRow) -> &str),
+}
+
+/// One entry of the row schema [`COLUMNS`].
+#[derive(Debug, Clone, Copy)]
+pub struct Column {
+    /// The column's name in headers, JSON keys and `query --columns`.
+    pub name: &'static str,
+    /// A scenario-axis label that is `"-"` on rows without that axis: the
+    /// `cells.*` renders drop it unless some row is labelled, and the
+    /// store line appends it (after the other columns) only for a
+    /// labelled row.
+    pub optional: bool,
+    get: Get,
+}
+
+impl Column {
+    const fn new(name: &'static str, get: Get) -> Self {
+        Column {
+            name,
+            optional: false,
+            get,
+        }
+    }
+
+    /// This column's value in `row`.
+    pub fn value<'a>(&self, row: &'a CellRow) -> Value<'a> {
+        match self.get {
+            Get::Int(f) => Value::Int(f(row)),
+            Get::Seed(f) => Value::Seed(f(row)),
+            Get::Float(f) => Value::Float(f(row)),
+            Get::Label(f) => Value::Label(f(row)),
+        }
+    }
+
+    /// Is this a text column (every other kind is numeric)?
+    pub const fn is_label(&self) -> bool {
+        matches!(self.get, Get::Label(_))
+    }
+}
+
+/// The row schema: every [`CellRow`] column, in the labelled `cells.csv`
+/// order.
+pub const COLUMNS: [Column; 24] = [
+    Column::new("index", Get::Int(|r| r.index as u64)),
+    Column::new("racks", Get::Int(|r| r.racks as u64)),
+    Column::new("workload", Get::Label(|r| &r.workload)),
+    Column::new("seed", Get::Seed(|r| r.seed)),
+    Column::new("load_factor", Get::Float(|r| r.load_factor)),
+    Column::new("scenario", Get::Label(|r| &r.scenario)),
+    Column::new("window", Get::Label(|r| &r.window)),
+    Column::new("policy", Get::Label(|r| &r.policy)),
+    Column::new("cap_percent", Get::Float(|r| r.cap_percent)),
+    Column::new("grouping", Get::Label(|r| &r.grouping)),
+    Column::new("decision_rule", Get::Label(|r| &r.decision_rule)),
+    Column {
+        optional: true,
+        ..Column::new("schedule", Get::Label(|r| &r.schedule))
+    },
+    Column {
+        optional: true,
+        ..Column::new("faults", Get::Label(|r| &r.faults))
+    },
+    Column::new("launched_jobs", Get::Int(|r| r.launched_jobs as u64)),
+    Column::new("completed_jobs", Get::Int(|r| r.completed_jobs as u64)),
+    Column::new("killed_jobs", Get::Int(|r| r.killed_jobs as u64)),
+    Column::new("pending_jobs", Get::Int(|r| r.pending_jobs as u64)),
+    Column::new("work_core_seconds", Get::Float(|r| r.work_core_seconds)),
+    Column::new("energy_joules", Get::Float(|r| r.energy_joules)),
+    Column::new("energy_normalized", Get::Float(|r| r.energy_normalized)),
+    Column::new(
+        "launched_jobs_normalized",
+        Get::Float(|r| r.launched_jobs_normalized),
+    ),
+    Column::new("work_normalized", Get::Float(|r| r.work_normalized)),
+    Column::new("mean_wait_seconds", Get::Float(|r| r.mean_wait_seconds)),
+    Column::new("peak_power_watts", Get::Float(|r| r.peak_power_watts)),
+];
+
+/// Position of the column called `name` in [`COLUMNS`] (const, so the v3
+/// decoder resolves its projection bits at compile time).
+pub const fn column_index(name: &str) -> Option<usize> {
+    let mut i = 0;
+    while i < COLUMNS.len() {
+        let (a, b) = (COLUMNS[i].name.as_bytes(), name.as_bytes());
+        let mut same = a.len() == b.len();
+        let mut k = 0;
+        while same && k < a.len() {
+            same = a[k] == b[k];
+            k += 1;
+        }
+        if same {
+            return Some(i);
+        }
+        i += 1;
+    }
+    None
 }
 
 /// (racks, fixed-workload?, cap bits, load bits, workload, scenario, window,

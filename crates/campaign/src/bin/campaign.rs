@@ -937,16 +937,6 @@ fn run_query(args: &[String]) -> Result<(), String> {
     if agg.is_some() && group_by.is_empty() {
         return Err("--agg needs --group-by".into());
     }
-    // Validate the projection up front so a typo errors before any output.
-    if let Some(unknown) = columns
-        .iter()
-        .find(|c| !QUERY_COLUMNS.contains(&c.as_str()))
-    {
-        return Err(format!(
-            "unknown column {unknown:?} (valid: {})",
-            QUERY_COLUMNS.join(", ")
-        ));
-    }
 
     if !group_by.is_empty() {
         // Aggregation pushdown: fold rows into per-group accumulators as

@@ -91,6 +91,15 @@ const ZONE_BYTES: usize = (INT_COLS + FLOAT_COLS) * 16;
 /// Row flag bit: the seed column holds a value (vs. a fixed-trace row).
 const FLAG_SEED_PRESENT: u8 = 1;
 
+/// The [`Projection`](crate::query::Projection) bit of the column called
+/// `$name`: its position in the row schema, resolved at compile time (a
+/// misspelt name fails the build).
+macro_rules! col {
+    ($name:literal) => {
+        const { crate::agg::column_index($name).expect("no such column") }
+    };
+}
+
 /// 64-bit FNV-1a over `bytes` taken as little-endian u64 words (the tail
 /// zero-padded to a full word) — the block checksum.
 ///
@@ -659,54 +668,53 @@ impl PartitionBuf {
         row: &mut CellRow,
         proj: crate::query::Projection,
     ) {
-        use crate::query as q;
-        if proj.bit(q::PC_INDEX) {
+        if proj.bit(col!("index")) {
             row.index = self.int_value(b, COL_INDEX, r) as usize;
         }
-        if proj.bit(q::PC_RACKS) {
+        if proj.bit(col!("racks")) {
             row.racks = self.int_value(b, COL_RACKS, r) as usize;
         }
-        if proj.bit(q::PC_SEED) {
+        if proj.bit(col!("seed")) {
             row.seed =
                 (self.flags(b, r) & FLAG_SEED_PRESENT != 0).then(|| self.int_value(b, COL_SEED, r));
         }
-        if proj.bit(q::PC_LAUNCHED_JOBS) {
+        if proj.bit(col!("launched_jobs")) {
             row.launched_jobs = self.int_value(b, 3, r) as usize;
         }
-        if proj.bit(q::PC_COMPLETED_JOBS) {
+        if proj.bit(col!("completed_jobs")) {
             row.completed_jobs = self.int_value(b, 4, r) as usize;
         }
-        if proj.bit(q::PC_KILLED_JOBS) {
+        if proj.bit(col!("killed_jobs")) {
             row.killed_jobs = self.int_value(b, 5, r) as usize;
         }
-        if proj.bit(q::PC_PENDING_JOBS) {
+        if proj.bit(col!("pending_jobs")) {
             row.pending_jobs = self.int_value(b, 6, r) as usize;
         }
-        if proj.bit(q::PC_LOAD_FACTOR) {
+        if proj.bit(col!("load_factor")) {
             row.load_factor = self.float_value(b, 0, r);
         }
-        if proj.bit(q::PC_CAP_PERCENT) {
+        if proj.bit(col!("cap_percent")) {
             row.cap_percent = self.float_value(b, 1, r);
         }
-        if proj.bit(q::PC_WORK_CORE_SECONDS) {
+        if proj.bit(col!("work_core_seconds")) {
             row.work_core_seconds = self.float_value(b, 2, r);
         }
-        if proj.bit(q::PC_ENERGY_JOULES) {
+        if proj.bit(col!("energy_joules")) {
             row.energy_joules = self.float_value(b, 3, r);
         }
-        if proj.bit(q::PC_ENERGY_NORMALIZED) {
+        if proj.bit(col!("energy_normalized")) {
             row.energy_normalized = self.float_value(b, 4, r);
         }
-        if proj.bit(q::PC_LAUNCHED_JOBS_NORMALIZED) {
+        if proj.bit(col!("launched_jobs_normalized")) {
             row.launched_jobs_normalized = self.float_value(b, 5, r);
         }
-        if proj.bit(q::PC_WORK_NORMALIZED) {
+        if proj.bit(col!("work_normalized")) {
             row.work_normalized = self.float_value(b, 6, r);
         }
-        if proj.bit(q::PC_MEAN_WAIT_SECONDS) {
+        if proj.bit(col!("mean_wait_seconds")) {
             row.mean_wait_seconds = self.float_value(b, 7, r);
         }
-        if proj.bit(q::PC_PEAK_POWER_WATTS) {
+        if proj.bit(col!("peak_power_watts")) {
             row.peak_power_watts = self.float_value(b, 8, r);
         }
         // Skip the copy when the reused buffer already holds the value —
@@ -718,37 +726,37 @@ impl PartitionBuf {
                 dst.push_str(src);
             }
         };
-        if proj.bit(q::PC_WORKLOAD) {
+        if proj.bit(col!("workload")) {
             set(
                 &mut row.workload,
                 self.dict_str(b, DCOL_WORKLOAD, self.dict_code(b, DCOL_WORKLOAD, r)),
             );
         }
-        if proj.bit(q::PC_SCENARIO) {
+        if proj.bit(col!("scenario")) {
             set(
                 &mut row.scenario,
                 self.dict_str(b, DCOL_SCENARIO, self.dict_code(b, DCOL_SCENARIO, r)),
             );
         }
-        if proj.bit(q::PC_WINDOW) {
+        if proj.bit(col!("window")) {
             set(
                 &mut row.window,
                 self.dict_str(b, DCOL_WINDOW, self.dict_code(b, DCOL_WINDOW, r)),
             );
         }
-        if proj.bit(q::PC_POLICY) {
+        if proj.bit(col!("policy")) {
             set(
                 &mut row.policy,
                 self.dict_str(b, DCOL_POLICY, self.dict_code(b, DCOL_POLICY, r)),
             );
         }
-        if proj.bit(q::PC_GROUPING) {
+        if proj.bit(col!("grouping")) {
             set(
                 &mut row.grouping,
                 self.dict_str(b, 4, self.dict_code(b, 4, r)),
             );
         }
-        if proj.bit(q::PC_DECISION_RULE) {
+        if proj.bit(col!("decision_rule")) {
             set(
                 &mut row.decision_rule,
                 self.dict_str(b, 5, self.dict_code(b, 5, r)),
@@ -757,7 +765,7 @@ impl PartitionBuf {
         // An "APC3" block predates the label columns: every row carries
         // the implicit "-" labels.
         let labelled = self.blocks[b].is_labelled();
-        if proj.bit(q::PC_SCHEDULE) {
+        if proj.bit(col!("schedule")) {
             set(
                 &mut row.schedule,
                 if labelled {
@@ -767,7 +775,7 @@ impl PartitionBuf {
                 },
             );
         }
-        if proj.bit(q::PC_FAULTS) {
+        if proj.bit(col!("faults")) {
             set(
                 &mut row.faults,
                 if labelled {
@@ -781,7 +789,7 @@ impl PartitionBuf {
 
     /// Decode row `r` of block `b` as a fresh [`CellRow`].
     pub fn decode(&self, b: usize, r: usize) -> CellRow {
-        let mut row = blank_row();
+        let mut row = CellRow::default();
         self.decode_into(b, r, &mut row);
         row
     }
@@ -797,36 +805,6 @@ impl PartitionBuf {
             }
         }
         rows
-    }
-}
-
-/// A zero-valued scratch row for [`PartitionBuf::decode_into`].
-pub(crate) fn blank_row() -> CellRow {
-    CellRow {
-        index: 0,
-        racks: 0,
-        workload: String::new(),
-        seed: None,
-        load_factor: 0.0,
-        scenario: String::new(),
-        window: String::new(),
-        policy: String::new(),
-        cap_percent: 0.0,
-        grouping: String::new(),
-        decision_rule: String::new(),
-        schedule: String::new(),
-        faults: String::new(),
-        launched_jobs: 0,
-        completed_jobs: 0,
-        killed_jobs: 0,
-        pending_jobs: 0,
-        work_core_seconds: 0.0,
-        energy_joules: 0.0,
-        energy_normalized: 0.0,
-        launched_jobs_normalized: 0.0,
-        work_normalized: 0.0,
-        mean_wait_seconds: 0.0,
-        peak_power_watts: 0.0,
     }
 }
 
@@ -920,6 +898,50 @@ mod tests {
                 "row {r}: {original:?} vs {decoded:?}"
             );
         }
+    }
+
+    #[test]
+    fn block_layout_follows_the_row_schema() {
+        // Every value distinct, so a swapped column cannot go unnoticed.
+        use crate::agg::{Value, COLUMNS};
+        let r = CellRow {
+            index: 1,
+            racks: 2,
+            workload: "w".into(),
+            seed: Some(3),
+            load_factor: 0.5,
+            scenario: "s".into(),
+            window: "win".into(),
+            policy: "p".into(),
+            cap_percent: 1.5,
+            grouping: "g".into(),
+            decision_rule: "d".into(),
+            schedule: "sched".into(),
+            faults: "f".into(),
+            launched_jobs: 4,
+            completed_jobs: 5,
+            killed_jobs: 6,
+            pending_jobs: 7,
+            work_core_seconds: 2.5,
+            energy_joules: 3.5,
+            energy_normalized: 4.5,
+            launched_jobs_normalized: 5.5,
+            work_normalized: 6.5,
+            mean_wait_seconds: 7.5,
+            peak_power_watts: 8.5,
+        };
+        let (mut ints, mut floats, mut labels) = (Vec::new(), Vec::new(), Vec::new());
+        for column in &COLUMNS {
+            match column.value(&r) {
+                Value::Int(v) | Value::Seed(Some(v)) => ints.push(v),
+                Value::Seed(None) => unreachable!("the row has a seed"),
+                Value::Float(v) => floats.push(v),
+                Value::Label(s) => labels.push(s),
+            }
+        }
+        assert_eq!(int_fields(&r)[..], ints[..]);
+        assert_eq!(float_fields(&r)[..], floats[..]);
+        assert_eq!(dict_fields(&r)[..], labels[..]);
     }
 
     #[test]
@@ -1246,9 +1268,11 @@ mod tests {
             "schedule".to_string(),
         ])
         .unwrap();
-        let mut scratch = blank_row();
-        scratch.workload = "sentinel".into();
-        scratch.launched_jobs = usize::MAX;
+        let mut scratch = CellRow {
+            workload: "sentinel".into(),
+            launched_jobs: usize::MAX,
+            ..CellRow::default()
+        };
         for (r, original) in rows.iter().enumerate() {
             buf.decode_into_projected(0, r, &mut scratch, proj);
             assert_eq!(scratch.index, original.index);
@@ -1262,7 +1286,7 @@ mod tests {
             assert_eq!(scratch.launched_jobs, usize::MAX);
         }
         // Projection::ALL is exactly decode_into.
-        let mut full = blank_row();
+        let mut full = CellRow::default();
         buf.decode_into_projected(0, 2, &mut full, crate::query::Projection::ALL);
         assert!(rows_bit_identical(&rows[2], &full));
     }

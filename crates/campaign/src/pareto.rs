@@ -293,9 +293,7 @@ pub fn render_pareto_csv(front: &[ParetoRow]) -> String {
 /// Render a per-replication front as CSV (`campaign pareto --cells`), with
 /// the same conditional label columns as the summary front.
 pub fn render_pareto_cells_csv(front: &[ParetoCellRow]) -> String {
-    let labelled = front
-        .iter()
-        .any(|r| r.cell.schedule != "-" || r.cell.faults != "-");
+    let labelled = front.iter().any(|r| r.cell.is_labelled());
     let mut out = String::from(if labelled {
         PARETO_CELLS_CSV_HEADER_LABELLED
     } else {

@@ -25,13 +25,19 @@
 //! in the one partition its index maps to — and stays correct under
 //! zone-map skipping because skipping never changes *which* occurrence is
 //! last, only whether a partition provably contains no match at all.
+//!
+//! Column names, projection bits, [`project`], [`numeric`] and the
+//! [`GroupAggregator`] fold all resolve through the row schema
+//! [`COLUMNS`](crate::agg::COLUMNS); the name lists here derive from it.
 
 use std::collections::BTreeMap;
+use std::fmt::Write;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::agg::CellRow;
+use crate::agg::{CellRow, Column, Value, COLUMNS};
 use crate::colstore::PartitionBuf;
+use crate::sink::push_csv_field;
 use crate::store::{
     is_v3_part, merge_part_group, part_groups, sorted_part_paths, ParsedManifest, MANIFEST_NAME,
     PARTS_DIR,
@@ -83,61 +89,63 @@ impl RowFilter {
     }
 }
 
-/// The column names [`project`] accepts, in canonical `cells.csv` order.
-pub const QUERY_COLUMNS: [&str; 24] = [
-    "index",
-    "racks",
-    "workload",
-    "seed",
-    "load_factor",
-    "scenario",
-    "window",
-    "policy",
-    "cap_percent",
-    "grouping",
-    "decision_rule",
-    "schedule",
-    "faults",
-    "launched_jobs",
-    "completed_jobs",
-    "killed_jobs",
-    "pending_jobs",
-    "work_core_seconds",
-    "energy_joules",
-    "energy_normalized",
-    "launched_jobs_normalized",
-    "work_normalized",
-    "mean_wait_seconds",
-    "peak_power_watts",
-];
+/// The names of the row schema's columns in table order, only the numeric
+/// ones when `numeric` (const, so the name lists below are constants whose
+/// length the build checks against the schema).
+const fn names<const N: usize>(numeric: bool) -> [&'static str; N] {
+    let mut names = [""; N];
+    let (mut i, mut n) = (0, 0);
+    while i < COLUMNS.len() {
+        if !(numeric && COLUMNS[i].is_label()) {
+            names[n] = COLUMNS[i].name;
+            n += 1;
+        }
+        i += 1;
+    }
+    assert!(n == N, "name list length differs from the row schema");
+    names
+}
 
-// Bit positions of every column in [`QUERY_COLUMNS`] order, used by the
-// v3 decoder to test a [`Projection`] without string compares on the
-// per-row path. `projection_bits_match_query_columns` pins the mapping.
-pub(crate) const PC_INDEX: usize = 0;
-pub(crate) const PC_RACKS: usize = 1;
-pub(crate) const PC_WORKLOAD: usize = 2;
-pub(crate) const PC_SEED: usize = 3;
-pub(crate) const PC_LOAD_FACTOR: usize = 4;
-pub(crate) const PC_SCENARIO: usize = 5;
-pub(crate) const PC_WINDOW: usize = 6;
-pub(crate) const PC_POLICY: usize = 7;
-pub(crate) const PC_CAP_PERCENT: usize = 8;
-pub(crate) const PC_GROUPING: usize = 9;
-pub(crate) const PC_DECISION_RULE: usize = 10;
-pub(crate) const PC_SCHEDULE: usize = 11;
-pub(crate) const PC_FAULTS: usize = 12;
-pub(crate) const PC_LAUNCHED_JOBS: usize = 13;
-pub(crate) const PC_COMPLETED_JOBS: usize = 14;
-pub(crate) const PC_KILLED_JOBS: usize = 15;
-pub(crate) const PC_PENDING_JOBS: usize = 16;
-pub(crate) const PC_WORK_CORE_SECONDS: usize = 17;
-pub(crate) const PC_ENERGY_JOULES: usize = 18;
-pub(crate) const PC_ENERGY_NORMALIZED: usize = 19;
-pub(crate) const PC_LAUNCHED_JOBS_NORMALIZED: usize = 20;
-pub(crate) const PC_WORK_NORMALIZED: usize = 21;
-pub(crate) const PC_MEAN_WAIT_SECONDS: usize = 22;
-pub(crate) const PC_PEAK_POWER_WATTS: usize = 23;
+/// The column names [`project`] accepts, in canonical `cells.csv` order.
+pub const QUERY_COLUMNS: [&str; COLUMNS.len()] = names(false);
+
+/// Every numeric column [`numeric`] can extract (superset of
+/// [`DEFAULT_AGG_COLUMNS`]): the non-label columns.
+pub const NUMERIC_COLUMNS: [&str; 16] = names(true);
+
+/// The numeric metric columns [`GroupAggregator`] folds by default when no
+/// explicit column list is given: every column after the last label.
+pub const DEFAULT_AGG_COLUMNS: &[&str] = {
+    let mut first = COLUMNS.len();
+    while !COLUMNS[first - 1].is_label() {
+        first -= 1;
+    }
+    QUERY_COLUMNS.split_at(first).1
+};
+
+/// Position of the column called `name` in the row schema; unknown names
+/// are an error listing the valid columns.
+fn lookup(name: &str) -> Result<usize, String> {
+    COLUMNS.iter().position(|c| c.name == name).ok_or_else(|| {
+        format!(
+            "unknown column {name:?} (valid: {})",
+            QUERY_COLUMNS.join(", ")
+        )
+    })
+}
+
+/// The numeric column called `name`; unknown and label columns are an error
+/// listing the numeric ones.
+fn numeric_column(name: &str) -> Result<&'static Column, String> {
+    match COLUMNS.iter().find(|c| c.name == name) {
+        Some(column) if !column.is_label() => Ok(column),
+        _ => Err(format!(
+            "column {name:?} is not numeric and cannot be aggregated \
+             (numeric: {})",
+            NUMERIC_COLUMNS.join(", ")
+        )),
+    }
+}
 
 /// The set of [`QUERY_COLUMNS`] a scan needs decoded — the column
 /// projection the v3 codec pushes down into each block (satellite of the
@@ -153,28 +161,19 @@ pub struct Projection(u32);
 
 impl Projection {
     /// Every column.
-    pub const ALL: Projection = Projection((1 << QUERY_COLUMNS.len()) - 1);
+    pub const ALL: Projection = Projection((1 << COLUMNS.len()) - 1);
 
     /// The projection selecting exactly `columns`. Unknown names are an
     /// error listing the valid columns.
     pub fn of(columns: &[String]) -> Result<Projection, String> {
         let mut bits = 0u32;
         for column in columns {
-            let i = QUERY_COLUMNS
-                .iter()
-                .position(|c| c == column)
-                .ok_or_else(|| {
-                    format!(
-                        "unknown column {column:?} (valid: {})",
-                        QUERY_COLUMNS.join(", ")
-                    )
-                })?;
-            bits |= 1 << i;
+            bits |= 1 << lookup(column)?;
         }
         Ok(Projection(bits))
     }
 
-    /// Is column bit `i` (a `PC_*` constant) selected?
+    /// Is the column at position `i` of the row schema selected?
     pub(crate) fn bit(self, i: usize) -> bool {
         self.0 >> i & 1 != 0
     }
@@ -200,117 +199,34 @@ impl Projection {
 /// escaping like every other CSV writer). Unknown names are an error
 /// listing the valid columns.
 pub fn project(row: &CellRow, column: &str) -> Result<String, String> {
-    use crate::sink::csv_field;
-    fn float(v: f64) -> String {
-        if v.is_nan() {
-            String::new()
-        } else {
-            v.to_string()
-        }
-    }
-    Ok(match column {
-        "index" => row.index.to_string(),
-        "racks" => row.racks.to_string(),
-        "workload" => csv_field(&row.workload),
-        "seed" => row.seed.map_or_else(String::new, |s| s.to_string()),
-        "load_factor" => float(row.load_factor),
-        "scenario" => csv_field(&row.scenario),
-        "window" => csv_field(&row.window),
-        "policy" => csv_field(&row.policy),
-        "cap_percent" => float(row.cap_percent),
-        "grouping" => csv_field(&row.grouping),
-        "decision_rule" => csv_field(&row.decision_rule),
-        "schedule" => csv_field(&row.schedule),
-        "faults" => csv_field(&row.faults),
-        "launched_jobs" => row.launched_jobs.to_string(),
-        "completed_jobs" => row.completed_jobs.to_string(),
-        "killed_jobs" => row.killed_jobs.to_string(),
-        "pending_jobs" => row.pending_jobs.to_string(),
-        "work_core_seconds" => float(row.work_core_seconds),
-        "energy_joules" => float(row.energy_joules),
-        "energy_normalized" => float(row.energy_normalized),
-        "launched_jobs_normalized" => float(row.launched_jobs_normalized),
-        "work_normalized" => float(row.work_normalized),
-        "mean_wait_seconds" => float(row.mean_wait_seconds),
-        "peak_power_watts" => float(row.peak_power_watts),
-        other => {
-            return Err(format!(
-                "unknown column {other:?} (valid: {})",
-                QUERY_COLUMNS.join(", ")
-            ))
-        }
-    })
+    let mut field = String::with_capacity(32);
+    push_projected(&mut field, COLUMNS[lookup(column)?].value(row));
+    Ok(field)
 }
 
-/// Every numeric column [`numeric`] can extract (superset of
-/// [`DEFAULT_AGG_COLUMNS`]).
-pub const NUMERIC_COLUMNS: [&str; 16] = [
-    "index",
-    "racks",
-    "seed",
-    "load_factor",
-    "cap_percent",
-    "launched_jobs",
-    "completed_jobs",
-    "killed_jobs",
-    "pending_jobs",
-    "work_core_seconds",
-    "energy_joules",
-    "energy_normalized",
-    "launched_jobs_normalized",
-    "work_normalized",
-    "mean_wait_seconds",
-    "peak_power_watts",
-];
-
-/// The numeric metric columns [`GroupAggregator`] folds by default when no
-/// explicit column list is given.
-pub const DEFAULT_AGG_COLUMNS: [&str; 11] = [
-    "launched_jobs",
-    "completed_jobs",
-    "killed_jobs",
-    "pending_jobs",
-    "work_core_seconds",
-    "energy_joules",
-    "energy_normalized",
-    "launched_jobs_normalized",
-    "work_normalized",
-    "mean_wait_seconds",
-    "peak_power_watts",
-];
+/// Append `value` as [`project`] renders it.
+fn push_projected(out: &mut String, value: Value) {
+    push_csv_field(out, value, |out, v| {
+        if !v.is_nan() {
+            let _ = write!(out, "{v}");
+        }
+    });
+}
 
 /// Extract one named column of a row as a number, or `None` when the value
 /// is absent (a fixed-trace seed/load, a NaN metric). Non-numeric columns
 /// are an error listing the foldable ones.
 pub fn numeric(row: &CellRow, column: &str) -> Result<Option<f64>, String> {
-    fn float(v: f64) -> Option<f64> {
-        (!v.is_nan()).then_some(v)
+    Ok(number(numeric_column(column)?.value(row)))
+}
+
+/// A numeric column value as a number: `None` for a missing seed or a NaN.
+fn number(value: Value) -> Option<f64> {
+    match value {
+        Value::Int(v) | Value::Seed(Some(v)) => Some(v as f64),
+        Value::Float(v) if !v.is_nan() => Some(v),
+        Value::Seed(None) | Value::Float(_) | Value::Label(_) => None,
     }
-    Ok(match column {
-        "index" => Some(row.index as f64),
-        "racks" => Some(row.racks as f64),
-        "seed" => row.seed.map(|s| s as f64),
-        "load_factor" => float(row.load_factor),
-        "cap_percent" => float(row.cap_percent),
-        "launched_jobs" => Some(row.launched_jobs as f64),
-        "completed_jobs" => Some(row.completed_jobs as f64),
-        "killed_jobs" => Some(row.killed_jobs as f64),
-        "pending_jobs" => Some(row.pending_jobs as f64),
-        "work_core_seconds" => float(row.work_core_seconds),
-        "energy_joules" => float(row.energy_joules),
-        "energy_normalized" => float(row.energy_normalized),
-        "launched_jobs_normalized" => float(row.launched_jobs_normalized),
-        "work_normalized" => float(row.work_normalized),
-        "mean_wait_seconds" => float(row.mean_wait_seconds),
-        "peak_power_watts" => float(row.peak_power_watts),
-        other => {
-            return Err(format!(
-                "column {other:?} is not numeric and cannot be aggregated \
-                 (numeric: {})",
-                NUMERIC_COLUMNS.join(", ")
-            ))
-        }
-    })
 }
 
 /// The aggregation functions `campaign query --agg` supports.
@@ -428,13 +344,14 @@ fn compare_keys(a: &str, b: &str) -> std::cmp::Ordering {
 /// Streaming `GROUP BY` over a store scan: rows fold into per-group
 /// accumulators as the partitions stream past, so summarising a
 /// million-cell store holds one accumulator per *group* — never the row
-/// set (the ROADMAP's "query aggregation pushdown"). The group key is
-/// probed through a reusable scratch buffer, so the steady state (a row
-/// hitting an existing group) allocates only the projected field strings.
+/// set (the ROADMAP's "query aggregation pushdown"). Columns are resolved
+/// to schema entries once, and the group key is rendered into a reusable
+/// scratch buffer, so the steady state (a row hitting an existing group)
+/// allocates nothing but the quoting of a separator-carrying label.
 #[derive(Debug)]
 pub struct GroupAggregator {
-    group_by: Vec<String>,
-    columns: Vec<String>,
+    group_by: Vec<&'static Column>,
+    columns: Vec<&'static Column>,
     kind: AggKind,
     groups: std::collections::HashMap<String, (u64, Vec<ColAcc>)>,
     key_scratch: String,
@@ -442,39 +359,23 @@ pub struct GroupAggregator {
 
 impl GroupAggregator {
     /// Build an aggregator grouping on `group_by` columns and folding the
-    /// numeric `columns` (both validated up front).
+    /// numeric `columns` (both resolved against the row schema up front, so
+    /// errors surface before any output).
     pub fn new(group_by: &[String], columns: &[String], kind: AggKind) -> Result<Self, String> {
         if group_by.is_empty() {
             return Err("--group-by needs at least one column".into());
         }
-        if let Some(unknown) = group_by
+        let keys = group_by
             .iter()
-            .find(|c| !QUERY_COLUMNS.contains(&c.as_str()))
-        {
-            return Err(format!(
-                "unknown column {unknown:?} (valid: {})",
-                QUERY_COLUMNS.join(", ")
-            ));
-        }
-        let columns: Vec<String> = columns
+            .map(|name| lookup(name).map(|i| &COLUMNS[i]))
+            .collect::<Result<_, _>>()?;
+        let columns = columns
             .iter()
             .filter(|c| !group_by.contains(c))
-            .cloned()
-            .collect();
-        // Validate every aggregated column is numeric up front so errors
-        // surface before any output.
-        if let Some(bad) = columns
-            .iter()
-            .find(|c| !NUMERIC_COLUMNS.contains(&c.as_str()))
-        {
-            return Err(format!(
-                "column {bad:?} is not numeric and cannot be aggregated \
-                 (numeric: {})",
-                NUMERIC_COLUMNS.join(", ")
-            ));
-        }
+            .map(|c| lookup(c).and_then(|_| numeric_column(c)))
+            .collect::<Result<_, _>>()?;
         Ok(GroupAggregator {
-            group_by: group_by.to_vec(),
+            group_by: keys,
             columns,
             kind,
             groups: std::collections::HashMap::new(),
@@ -482,14 +383,15 @@ impl GroupAggregator {
         })
     }
 
-    /// Fold one row into its group.
+    /// Fold one row into its group. (Every column was resolved by
+    /// [`new`](Self::new), so this cannot fail.)
     pub fn fold(&mut self, row: &CellRow) -> Result<(), String> {
         self.key_scratch.clear();
         for (i, column) in self.group_by.iter().enumerate() {
             if i > 0 {
                 self.key_scratch.push(KEY_SEP);
             }
-            self.key_scratch.push_str(&project(row, column)?);
+            push_projected(&mut self.key_scratch, column.value(row));
         }
         let (n, accs) = match self.groups.get_mut(self.key_scratch.as_str()) {
             Some(entry) => entry,
@@ -500,7 +402,7 @@ impl GroupAggregator {
         };
         *n += 1;
         for (acc, column) in accs.iter_mut().zip(&self.columns) {
-            if let Some(v) = numeric(row, column)? {
+            if let Some(v) = number(column.value(row)) {
                 acc.push(v);
             }
         }
@@ -515,10 +417,10 @@ impl GroupAggregator {
     /// CSV header: group columns, the group size, then one
     /// `<agg>_<column>` per folded column.
     pub fn header(&self) -> String {
-        let mut fields: Vec<String> = self.group_by.clone();
+        let mut fields: Vec<String> = self.group_by.iter().map(|c| c.name.to_string()).collect();
         fields.push("n".into());
         for column in &self.columns {
-            fields.push(format!("{}_{column}", self.kind.name()));
+            fields.push(format!("{}_{}", self.kind.name(), column.name));
         }
         fields.join(",")
     }
@@ -646,7 +548,7 @@ impl StoreScanner {
         mut on_row: impl FnMut(&CellRow) -> Result<ScanFlow, String>,
     ) -> Result<ScanStats, String> {
         let mut stats = ScanStats::default();
-        let mut scratch = crate::colstore::blank_row();
+        let mut scratch = CellRow::default();
         // Flatten the manifest's completion set into a bit-per-cell lookup
         // once per scan: the per-row trust check runs for every record of
         // every partition, and an O(log n) set probe there dominates large
@@ -1189,42 +1091,43 @@ mod tests {
 
     #[test]
     fn projection_bits_match_query_columns() {
-        // The PC_* constants must track QUERY_COLUMNS positions exactly —
-        // the v3 decoder trusts them.
-        for (i, name) in [
-            (PC_INDEX, "index"),
-            (PC_RACKS, "racks"),
-            (PC_WORKLOAD, "workload"),
-            (PC_SEED, "seed"),
-            (PC_LOAD_FACTOR, "load_factor"),
-            (PC_SCENARIO, "scenario"),
-            (PC_WINDOW, "window"),
-            (PC_POLICY, "policy"),
-            (PC_CAP_PERCENT, "cap_percent"),
-            (PC_GROUPING, "grouping"),
-            (PC_DECISION_RULE, "decision_rule"),
-            (PC_SCHEDULE, "schedule"),
-            (PC_FAULTS, "faults"),
-            (PC_LAUNCHED_JOBS, "launched_jobs"),
-            (PC_COMPLETED_JOBS, "completed_jobs"),
-            (PC_KILLED_JOBS, "killed_jobs"),
-            (PC_PENDING_JOBS, "pending_jobs"),
-            (PC_WORK_CORE_SECONDS, "work_core_seconds"),
-            (PC_ENERGY_JOULES, "energy_joules"),
-            (PC_ENERGY_NORMALIZED, "energy_normalized"),
-            (PC_LAUNCHED_JOBS_NORMALIZED, "launched_jobs_normalized"),
-            (PC_WORK_NORMALIZED, "work_normalized"),
-            (PC_MEAN_WAIT_SECONDS, "mean_wait_seconds"),
-            (PC_PEAK_POWER_WATTS, "peak_power_watts"),
-        ] {
-            assert_eq!(QUERY_COLUMNS[i], name, "bit {i}");
+        // A column's projection bit is its schema position — the v3 decoder
+        // resolves its bits through `column_index` — and QUERY_COLUMNS
+        // lists the schema in that order.
+        for (i, column) in COLUMNS.iter().enumerate() {
+            assert_eq!(
+                crate::agg::column_index(column.name),
+                Some(i),
+                "{}",
+                column.name
+            );
+            assert_eq!(QUERY_COLUMNS[i], column.name, "bit {i}");
+            let one = Projection::of(&[column.name.to_string()]).unwrap();
+            assert!(one.bit(i) && one.len() == 1, "{}", column.name);
         }
+        assert_eq!(crate::agg::column_index("nope"), None);
+        assert_eq!(
+            DEFAULT_AGG_COLUMNS,
+            [
+                "launched_jobs",
+                "completed_jobs",
+                "killed_jobs",
+                "pending_jobs",
+                "work_core_seconds",
+                "energy_joules",
+                "energy_normalized",
+                "launched_jobs_normalized",
+                "work_normalized",
+                "mean_wait_seconds",
+                "peak_power_watts",
+            ]
+        );
         let all = Projection::ALL;
         assert!(all.is_all());
         assert_eq!(all.len(), QUERY_COLUMNS.len());
         let narrow = Projection::of(&["index".to_string(), "faults".to_string()]).unwrap();
-        assert!(narrow.bit(PC_INDEX) && narrow.bit(PC_FAULTS));
-        assert!(!narrow.bit(PC_WORKLOAD) && !narrow.is_all());
+        assert!(narrow.bit(0) && narrow.bit(12));
+        assert!(!narrow.bit(2) && !narrow.is_all());
         assert_eq!(narrow.len(), 2);
         assert!(Projection::of(&[]).unwrap().is_empty());
         assert!(Projection::of(&["nope".to_string()])

@@ -6,12 +6,18 @@
 //! campaign's "byte-identical across thread counts" guarantee. Floats are
 //! printed with fixed precisions; non-finite values (an empty interval's
 //! mean wait, say) become empty CSV fields and JSON `null`s.
+//!
+//! The per-cell renders take their columns, names and value kinds from the
+//! row schema [`COLUMNS`](crate::agg::COLUMNS); the summary renders spell
+//! out [`SummaryRow`]'s own columns.
 
+use std::borrow::Cow;
+use std::fmt::Write;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::agg::{CellRow, MetricSummary, SummaryRow};
+use crate::agg::{CellRow, Column, MetricSummary, SummaryRow, Value, COLUMNS};
 
 /// Decimal places used for every floating-point column.
 const FLOAT_PRECISION: usize = 6;
@@ -28,11 +34,26 @@ fn float_field(v: f64, json: bool) -> String {
 }
 
 /// Quote a CSV field if it contains a separator, quote or newline.
-pub(crate) fn csv_field(raw: &str) -> String {
+pub(crate) fn csv_field(raw: &str) -> Cow<'_, str> {
     if raw.contains([',', '"', '\n', '\r']) {
-        format!("\"{}\"", raw.replace('"', "\"\""))
+        Cow::Owned(format!("\"{}\"", raw.replace('"', "\"\"")))
     } else {
-        raw.to_string()
+        Cow::Borrowed(raw)
+    }
+}
+
+/// Append one column value as a CSV field: integers in decimal, a missing
+/// seed as an empty field, labels through [`csv_field`] and floats through
+/// `float` — the one encoding the crate's CSV writers (`cells.csv`, the v2
+/// store line, `campaign query`) do not share.
+pub(crate) fn push_csv_field(out: &mut String, value: Value, float: fn(&mut String, f64)) {
+    match value {
+        Value::Int(v) | Value::Seed(Some(v)) => {
+            let _ = write!(out, "{v}");
+        }
+        Value::Seed(None) => {}
+        Value::Float(v) => float(out, v),
+        Value::Label(s) => out.push_str(&csv_field(s)),
     }
 }
 
@@ -100,66 +121,37 @@ fn json_string(raw: &str) -> String {
     out
 }
 
-/// Header of the per-cell CSV.
-pub const CELLS_CSV_HEADER: &str = "index,racks,workload,seed,load_factor,scenario,window,\
-policy,cap_percent,grouping,decision_rule,launched_jobs,completed_jobs,killed_jobs,pending_jobs,\
-work_core_seconds,energy_joules,energy_normalized,launched_jobs_normalized,\
-work_normalized,mean_wait_seconds,peak_power_watts";
+/// The columns a cells render emits: the whole row schema, minus the
+/// optional `schedule`/`faults` labels unless some rendered row carries
+/// one — campaigns without those axes keep their pre-refactor output bytes
+/// exactly.
+fn cell_columns(labelled: bool) -> impl Iterator<Item = &'static Column> {
+    COLUMNS.iter().filter(move |c| labelled || !c.optional)
+}
 
-/// [`CELLS_CSV_HEADER`] with the `schedule`/`faults` columns, used when any
-/// rendered row carries a cap-schedule or fault-plan label.
-pub const CELLS_CSV_HEADER_LABELLED: &str = "index,racks,workload,seed,load_factor,scenario,\
-window,policy,cap_percent,grouping,decision_rule,schedule,faults,launched_jobs,completed_jobs,\
-killed_jobs,pending_jobs,work_core_seconds,energy_joules,energy_normalized,\
-launched_jobs_normalized,work_normalized,mean_wait_seconds,peak_power_watts";
-
-/// Do any of these rows carry a schedule or fault label? Decides whether
-/// the renderers emit the two label columns — campaigns without the new
-/// axes keep their pre-refactor output bytes exactly.
-fn cells_labelled(rows: &[CellRow]) -> bool {
-    rows.iter().any(|r| r.schedule != "-" || r.faults != "-")
+/// Header of the per-cell CSV, with the `schedule`/`faults` columns when
+/// `labelled`. The label-free header also heads every v2 (CSV) store
+/// partition.
+pub fn cells_csv_header(labelled: bool) -> String {
+    let names: Vec<&str> = cell_columns(labelled).map(|c| c.name).collect();
+    names.join(",")
 }
 
 /// Render the per-cell rows as CSV (with header and trailing newline).
 pub fn render_cells_csv(rows: &[CellRow]) -> String {
-    let labelled = cells_labelled(rows);
-    let mut out = String::from(if labelled {
-        CELLS_CSV_HEADER_LABELLED
-    } else {
-        CELLS_CSV_HEADER
-    });
+    let labelled = rows.iter().any(CellRow::is_labelled);
+    let mut out = cells_csv_header(labelled);
     out.push('\n');
     for r in rows {
-        let labels = if labelled {
-            format!("{},{},", csv_field(&r.schedule), csv_field(&r.faults))
-        } else {
-            String::new()
-        };
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{labels}{},{},{},{},{},{},{},{},{},{},{}\n",
-            r.index,
-            r.racks,
-            csv_field(&r.workload),
-            r.seed.map_or_else(String::new, |s| s.to_string()),
-            float_field(r.load_factor, false),
-            csv_field(&r.scenario),
-            csv_field(&r.window),
-            csv_field(&r.policy),
-            float_field(r.cap_percent, false),
-            csv_field(&r.grouping),
-            csv_field(&r.decision_rule),
-            r.launched_jobs,
-            r.completed_jobs,
-            r.killed_jobs,
-            r.pending_jobs,
-            float_field(r.work_core_seconds, false),
-            float_field(r.energy_joules, false),
-            float_field(r.energy_normalized, false),
-            float_field(r.launched_jobs_normalized, false),
-            float_field(r.work_normalized, false),
-            float_field(r.mean_wait_seconds, false),
-            float_field(r.peak_power_watts, false),
-        ));
+        for (i, column) in cell_columns(labelled).enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            push_csv_field(&mut out, column.value(r), |out, v| {
+                out.push_str(&float_field(v, false))
+            });
+        }
+        out.push('\n');
     }
     out
 }
@@ -240,69 +232,23 @@ pub fn render_summary_csv(summaries: &[SummaryRow]) -> String {
 
 /// Render the per-cell rows as a JSON array (pretty, two-space indent).
 pub fn render_cells_json(rows: &[CellRow]) -> String {
-    let labelled = cells_labelled(rows);
+    let labelled = rows.iter().any(CellRow::is_labelled);
     let mut out = String::from("[\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str("  {");
-        out.push_str(&format!("\"index\": {}, ", r.index));
-        out.push_str(&format!("\"racks\": {}, ", r.racks));
-        out.push_str(&format!("\"workload\": {}, ", json_string(&r.workload)));
-        out.push_str(&format!(
-            "\"seed\": {}, ",
-            r.seed.map_or_else(|| "null".to_string(), |s| s.to_string())
-        ));
-        out.push_str(&format!(
-            "\"load_factor\": {}, ",
-            float_field(r.load_factor, true)
-        ));
-        out.push_str(&format!("\"scenario\": {}, ", json_string(&r.scenario)));
-        out.push_str(&format!("\"window\": {}, ", json_string(&r.window)));
-        out.push_str(&format!("\"policy\": {}, ", json_string(&r.policy)));
-        out.push_str(&format!(
-            "\"cap_percent\": {}, ",
-            float_field(r.cap_percent, true)
-        ));
-        out.push_str(&format!("\"grouping\": {}, ", json_string(&r.grouping)));
-        out.push_str(&format!(
-            "\"decision_rule\": {}, ",
-            json_string(&r.decision_rule)
-        ));
-        if labelled {
-            out.push_str(&format!("\"schedule\": {}, ", json_string(&r.schedule)));
-            out.push_str(&format!("\"faults\": {}, ", json_string(&r.faults)));
+        for (j, column) in cell_columns(labelled).enumerate() {
+            if j > 0 {
+                out.push_str(", ");
+            }
+            out.push_str(&json_string(column.name));
+            out.push_str(": ");
+            match column.value(r) {
+                Value::Int(v) | Value::Seed(Some(v)) => out.push_str(&v.to_string()),
+                Value::Seed(None) => out.push_str("null"),
+                Value::Float(v) => out.push_str(&float_field(v, true)),
+                Value::Label(s) => out.push_str(&json_string(s)),
+            }
         }
-        out.push_str(&format!("\"launched_jobs\": {}, ", r.launched_jobs));
-        out.push_str(&format!("\"completed_jobs\": {}, ", r.completed_jobs));
-        out.push_str(&format!("\"killed_jobs\": {}, ", r.killed_jobs));
-        out.push_str(&format!("\"pending_jobs\": {}, ", r.pending_jobs));
-        out.push_str(&format!(
-            "\"work_core_seconds\": {}, ",
-            float_field(r.work_core_seconds, true)
-        ));
-        out.push_str(&format!(
-            "\"energy_joules\": {}, ",
-            float_field(r.energy_joules, true)
-        ));
-        out.push_str(&format!(
-            "\"energy_normalized\": {}, ",
-            float_field(r.energy_normalized, true)
-        ));
-        out.push_str(&format!(
-            "\"launched_jobs_normalized\": {}, ",
-            float_field(r.launched_jobs_normalized, true)
-        ));
-        out.push_str(&format!(
-            "\"work_normalized\": {}, ",
-            float_field(r.work_normalized, true)
-        ));
-        out.push_str(&format!(
-            "\"mean_wait_seconds\": {}, ",
-            float_field(r.mean_wait_seconds, true)
-        ));
-        out.push_str(&format!(
-            "\"peak_power_watts\": {}",
-            float_field(r.peak_power_watts, true)
-        ));
         out.push_str(if i + 1 == rows.len() { "}\n" } else { "},\n" });
     }
     out.push_str("]\n");
@@ -607,7 +553,7 @@ mod tests {
         // A label-free render keeps the pre-refactor header and column
         // count exactly.
         let legacy = render_cells_csv(&rows());
-        assert!(legacy.starts_with(CELLS_CSV_HEADER));
+        assert!(legacy.starts_with(&cells_csv_header(false)));
         assert!(!legacy.contains("schedule"));
         // One labelled row switches both header and rows to the extended
         // layout, with "-" filled for label-free rows.
@@ -622,7 +568,7 @@ mod tests {
         });
         let csv = render_cells_csv(&labelled);
         let lines: Vec<&str> = csv.lines().collect();
-        assert!(lines[0].starts_with(CELLS_CSV_HEADER_LABELLED));
+        assert!(lines[0].starts_with(&cells_csv_header(true)));
         for line in &lines[1..] {
             assert_eq!(line.split(',').count(), lines[0].split(',').count());
         }

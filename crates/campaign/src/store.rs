@@ -91,10 +91,6 @@ pub const MANIFEST_NAME: &str = "manifest.txt";
 /// Name of the partition subdirectory inside a store directory.
 pub const PARTS_DIR: &str = "cells";
 
-/// Header of every v2 (CSV) partition file (same columns as the rendered
-/// `cells.csv`, but with full-precision float fields).
-pub const PART_CSV_HEADER: &str = crate::sink::CELLS_CSV_HEADER;
-
 /// The partition files of a store, sorted by **partition number** (parsed
 /// from the `part-N.csv` / `part-N.apc` name, not lexically — `part-10000`
 /// must come after `part-9999`, where a lexical sort would interleave them
@@ -318,7 +314,10 @@ pub struct ResultStore {
 }
 
 impl ResultStore {
-    /// Create a fresh store at `dir`, wiping any previous store files there.
+    /// Create a fresh store at `dir`, wiping any previous store files there
+    /// — including an earlier distributed run's lease log, which would
+    /// otherwise be reported as this run's ledger. (A distributed run
+    /// creates its own lease log after the store.)
     ///
     /// `spec_hash` is the campaign's [`fingerprint`] and `total_cells` its
     /// expanded grid size; both are recorded in the manifest and re-checked
@@ -349,6 +348,10 @@ impl ResultStore {
             fs::remove_dir_all(&parts)?;
         }
         fs::create_dir_all(&parts)?;
+        match fs::remove_file(dir.join(crate::lease::LEASES_NAME)) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+            _ => {}
+        }
         let manifest_path = dir.join(MANIFEST_NAME);
         let mut manifest = fs::File::create(&manifest_path)?;
         writeln!(manifest, "{MANIFEST_MAGIC} {schema}")?;
@@ -662,7 +665,7 @@ pub(crate) mod tests {
         for row in rows {
             let file = files
                 .entry(row.index / DEFAULT_CELLS_PER_PART)
-                .or_insert_with(|| format!("{PART_CSV_HEADER}\n"));
+                .or_insert_with(|| crate::sink::cells_csv_header(false) + "\n");
             file.push_str(&row.to_store_line());
             file.push('\n');
             manifest.push_str(&format!("done {}\n", row.index));

@@ -8,7 +8,8 @@
 //! * the retired `--store-schema` and `--strategy` flags are unknown
 //!   options;
 //! * `campaign report` shows a lease ledger only when the lease log
-//!   belongs to the store's campaign.
+//!   belongs to the store's campaign, and a fresh local run over an old
+//!   distributed directory clears that run's lease log.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -240,12 +241,15 @@ fn report_shows_only_the_lease_ledger_of_its_own_campaign() {
         "got: {out}"
     );
 
-    // A fresh local run of another grid into the same directory leaves
-    // the old leases.log behind; report must not present it as this run's.
+    // A fresh local run of another grid into the same directory clears
+    // the old leases.log; put it back (a copied-in or hand-restored log)
+    // and report must not present it as this run's.
+    let ledger = fs::read(dir.join(LEASES_NAME)).unwrap();
     let mut args = vec!["--out", d];
     args.extend(grid("2"));
     campaign_ok(&args);
-    assert!(dir.join(LEASES_NAME).exists());
+    assert!(!dir.join(LEASES_NAME).exists());
+    fs::write(dir.join(LEASES_NAME), ledger).unwrap();
     let local_spec = spec_of(&dir);
     assert_ne!(local_spec, distributed_spec);
     let out = String::from_utf8(campaign_ok(&["report", d]).stdout).unwrap();
@@ -260,5 +264,45 @@ fn report_shows_only_the_lease_ledger_of_its_own_campaign() {
         "got: {out}"
     );
     assert!(!out.contains("leases: "), "stale ledger printed: {out}");
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn local_run_over_a_distributed_dir_drops_the_old_ledger() {
+    // Same grid both times, so the old ledger's fingerprint and cell count
+    // match the new store: only clearing it on create keeps report honest.
+    let dir = temp_dir("same-grid-ledger");
+    let d = dir.to_str().unwrap();
+    let grid = [
+        "--seeds",
+        "1",
+        "--racks",
+        "1",
+        "--intervals",
+        "medianjob",
+        "--policies",
+        "shut",
+        "--caps",
+        "60",
+        "--load",
+        "0.5",
+        "--backlog",
+        "0.2",
+        "--no-sync",
+        "--quiet",
+    ];
+    let mut args = vec!["--distributed", d, "--workers", "1"];
+    args.extend(grid);
+    campaign_ok(&args);
+    let out = String::from_utf8(campaign_ok(&["report", d]).stdout).unwrap();
+    assert!(out.contains("leases: 1 batch(es)"), "got: {out}");
+
+    let mut args = vec!["--out", d];
+    args.extend(grid);
+    campaign_ok(&args);
+    let out = String::from_utf8(campaign_ok(&["report", d]).stdout).unwrap();
+    assert!(out.contains("cells recorded (complete)"), "got: {out}");
+    assert!(!out.contains("leases"), "stale ledger printed: {out}");
+    assert!(!dir.join(LEASES_NAME).exists());
     fs::remove_dir_all(&dir).unwrap();
 }
