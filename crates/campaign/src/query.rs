@@ -28,7 +28,7 @@
 //!
 //! Column names, projection bits, [`project`], [`numeric`] and the
 //! [`GroupAggregator`] fold all resolve through the row schema
-//! [`COLUMNS`](crate::agg::COLUMNS); the name lists here derive from it.
+//! [`COLUMNS`]; the name lists here derive from it.
 
 use std::collections::BTreeMap;
 use std::fmt::Write;

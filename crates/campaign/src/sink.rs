@@ -8,7 +8,7 @@
 //! mean wait, say) become empty CSV fields and JSON `null`s.
 //!
 //! The per-cell renders take their columns, names and value kinds from the
-//! row schema [`COLUMNS`](crate::agg::COLUMNS); the summary renders spell
+//! row schema [`COLUMNS`]; the summary renders spell
 //! out [`SummaryRow`]'s own columns.
 
 use std::borrow::Cow;
