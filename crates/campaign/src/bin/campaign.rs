@@ -47,7 +47,7 @@
 //!   --workers N        worker processes to launch (default 2; 0 = only
 //!                      initialise the store and lease log, then exit — for
 //!                      launching `campaign worker` processes by hand)
-//!   --lease-cells N    cells per lease batch (default 4096)
+//!   --lease-cells N    cells per lease batch (default 32)
 //!   --lease-ttl SECS   lease time-to-live; a worker silent this long is
 //!                      presumed dead and its batch stolen (default 30)
 //!   --no-sync          skip the per-append fsyncs of the store and lease
@@ -118,12 +118,16 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
+use apc_campaign::lease::LEASE_POLL_MS;
 use apc_campaign::prelude::*;
 use apc_core::PowercapPolicy;
 use apc_power::bonus::GroupingStrategy;
 use apc_power::tradeoff::DecisionRule;
 use apc_replay::{CapSchedule, FaultPlan};
 use apc_workload::{load_swf_file, IntervalKind};
+
+/// How often `--distributed --progress` redraws the lease progress view.
+const PROGRESS_REDRAW: std::time::Duration = std::time::Duration::from_millis(400);
 
 const USAGE: &str = "usage: campaign [--threads N] [--seeds K] [--seed-base S] [--racks LIST] \
 [--intervals LIST] [--policies LIST] [--caps LIST] [--no-baseline] [--groupings LIST] \
@@ -599,6 +603,7 @@ fn run_distributed(options: Options, raw_args: &[String]) -> Result<(), String> 
         children.push((w, child));
     }
     let started = std::time::Instant::now();
+    let mut last_progress = started;
     let mut failed: Vec<String> = Vec::new();
     let mut exited = vec![false; children.len()];
     loop {
@@ -622,8 +627,11 @@ fn run_distributed(options: Options, raw_args: &[String]) -> Result<(), String> 
         if !running {
             break;
         }
-        std::thread::sleep(std::time::Duration::from_millis(400));
-        if options.progress {
+        // Poll exits at the workers' own lease poll period, so the campaign
+        // returns promptly after the last worker; redraw progress less often.
+        std::thread::sleep(std::time::Duration::from_millis(LEASE_POLL_MS));
+        if options.progress && last_progress.elapsed() >= PROGRESS_REDRAW {
+            last_progress = std::time::Instant::now();
             // The coordinator monitors through the same shared files the
             // workers coordinate through — no channel to the children.
             if let Ok(log) = LeaseLog::open(&dir_path) {

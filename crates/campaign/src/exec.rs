@@ -36,7 +36,7 @@ use apc_replay::ReplayHarness;
 use apc_workload::{CurieTraceGenerator, TraceCache};
 
 use crate::agg::{summarize, CellRow, SummaryRow};
-use crate::lease::{now_ms, Backoff, LeaseAction, LeaseLog};
+use crate::lease::{now_ms, Backoff, LeaseAction, LeaseLog, LEASE_POLL_MS};
 use crate::obs::{CampaignObs, ExecObs};
 use crate::spec::{CampaignCell, CampaignSpec, CellWorkload, TraceSource};
 use crate::store::ResultStore;
@@ -341,9 +341,9 @@ impl CampaignRunner {
             match lease.state().next_action(worker, now_ms()) {
                 LeaseAction::Finished => break,
                 LeaseAction::Wait { ms } => {
-                    // Bounded naps so an expiry (or completion) is noticed
-                    // promptly even when the suggested wait is a whole TTL.
-                    std::thread::sleep(Duration::from_millis(ms.min(1_000)));
+                    // Nap one poll period at most: the wait ends when another
+                    // worker retires its batch, which no deadline predicts.
+                    std::thread::sleep(Duration::from_millis(ms.min(LEASE_POLL_MS)));
                 }
                 LeaseAction::Claim { batch, steal } => {
                     if lease.state().owner(batch) != Some(worker) {

@@ -278,6 +278,25 @@ impl ParsedManifest {
     }
 }
 
+/// Open the manifest at `path` (whose content `text` was just read) for
+/// appending `done` lines, and return the handle with the manifest's
+/// length. If the previous run died mid-line, the torn line is terminated
+/// first so the next append starts on a fresh one.
+fn reopen_manifest(path: &Path, text: &str) -> Result<(fs::File, u64), String> {
+    let mut manifest = fs::OpenOptions::new()
+        .append(true)
+        .open(path)
+        .map_err(|e| format!("cannot reopen {}: {e}", path.display()))?;
+    let mut len = text.len() as u64;
+    if !text.is_empty() && !text.ends_with('\n') {
+        manifest
+            .write_all(b"\n")
+            .map_err(|e| format!("cannot repair {}: {e}", path.display()))?;
+        len += 1;
+    }
+    Ok((manifest, len))
+}
+
 /// An append-only, crash-resumable campaign result store.
 ///
 /// Create one with [`ResultStore::create`] for a fresh campaign, or
@@ -299,6 +318,10 @@ pub struct ResultStore {
     /// [`refresh_done`](Self::refresh_done) merges completions other
     /// workers appended since.
     done: std::collections::BTreeSet<usize>,
+    /// Manifest bytes already folded into `done`, up to the end of the
+    /// last complete line: [`refresh_done`](Self::refresh_done) reads only
+    /// what was appended after it.
+    done_pos: u64,
     /// Append handle for the manifest completion log.
     manifest: fs::File,
     /// Cached append handle for the most recently written partition.
@@ -369,6 +392,8 @@ impl ResultStore {
             cells_per_part: DEFAULT_CELLS_PER_PART,
             rows: BTreeMap::new(),
             done: std::collections::BTreeSet::new(),
+            // The header holds no `done` lines; re-reading it is harmless.
+            done_pos: 0,
             manifest,
             current_part: None,
             worker_tag: None,
@@ -404,19 +429,9 @@ impl ResultStore {
         for group in part_groups(&parts) {
             merge_part_group(group, |idx| done.contains(&idx), &mut rows)?;
         }
+        let (manifest, done_pos) = reopen_manifest(&manifest_path, &text)?;
         // A done entry whose row is missing or unreadable is dropped from
         // the trusted set; the executor will simply rerun that cell.
-        let mut manifest = fs::OpenOptions::new()
-            .append(true)
-            .open(&manifest_path)
-            .map_err(|e| format!("cannot reopen {}: {e}", manifest_path.display()))?;
-        // If the previous run died mid-line, terminate the torn line so the
-        // next `done` append starts on a fresh one.
-        if !text.is_empty() && !text.ends_with('\n') {
-            manifest
-                .write_all(b"\n")
-                .map_err(|e| format!("cannot repair {}: {e}", manifest_path.display()))?;
-        }
         let done = rows.keys().copied().collect();
         Ok(ResultStore {
             dir,
@@ -426,6 +441,7 @@ impl ResultStore {
             cells_per_part,
             rows,
             done,
+            done_pos,
             manifest,
             current_part: None,
             worker_tag: None,
@@ -448,15 +464,7 @@ impl ResultStore {
         let text = fs::read_to_string(&manifest_path)
             .map_err(|e| format!("cannot read {}: {e}", manifest_path.display()))?;
         let parsed = ParsedManifest::parse(&dir, &text)?;
-        let mut manifest = fs::OpenOptions::new()
-            .append(true)
-            .open(&manifest_path)
-            .map_err(|e| format!("cannot reopen {}: {e}", manifest_path.display()))?;
-        if !text.is_empty() && !text.ends_with('\n') {
-            manifest
-                .write_all(b"\n")
-                .map_err(|e| format!("cannot repair {}: {e}", manifest_path.display()))?;
-        }
+        let (manifest, done_pos) = reopen_manifest(&manifest_path, &text)?;
         Ok(ResultStore {
             dir,
             schema: parsed.schema,
@@ -465,6 +473,7 @@ impl ResultStore {
             cells_per_part: parsed.cells_per_part,
             rows: BTreeMap::new(),
             done: parsed.done,
+            done_pos,
             manifest,
             current_part: None,
             worker_tag: Some(worker),
@@ -472,12 +481,16 @@ impl ResultStore {
         })
     }
 
-    /// Re-read the manifest's completion log and merge `done` entries other
-    /// workers appended since this handle last looked. Returns the total
-    /// completed count. Torn trailing lines are skipped exactly as on open.
+    /// Merge the `done` entries other workers appended to the manifest
+    /// since this handle last looked. Returns the total completed count.
+    /// Only the bytes appended since the previous call are read, so a
+    /// worker's per-claim refresh costs O(new entries), not O(manifest).
+    /// A partial final line is left for a later call; unparseable lines
+    /// are skipped exactly as on open.
     pub fn refresh_done(&mut self) -> Result<usize, String> {
         let manifest_path = self.dir.join(MANIFEST_NAME);
-        let text = fs::read_to_string(&manifest_path)
+        let text = fs::File::open(&manifest_path)
+            .and_then(|mut file| crate::lease::read_appended_lines(&mut file, &mut self.done_pos))
             .map_err(|e| format!("cannot read {}: {e}", manifest_path.display()))?;
         for line in text.lines() {
             let mut words = line.split_whitespace();
@@ -979,6 +992,59 @@ pub(crate) mod tests {
             [0, 1, 2, 64]
         );
         assert_eq!(rows[2].launched_jobs, 222);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn refresh_done_tracks_appends_like_a_fresh_open() {
+        let dir = temp_dir("refresh");
+        drop(ResultStore::create(&dir, 0xfeed, 200).unwrap());
+        let mut reader = ResultStore::open_worker(&dir, 0).unwrap();
+        let mut writer = ResultStore::open_worker(&dir, 1).unwrap();
+        writer.set_sync(false);
+        // The done set a fresh full open computes, taken on a copy so its
+        // torn-line repair cannot touch the live manifest.
+        let fresh = || {
+            let snap = temp_dir("refresh-snap");
+            fs::create_dir_all(snap.join(PARTS_DIR)).unwrap();
+            fs::copy(dir.join(MANIFEST_NAME), snap.join(MANIFEST_NAME)).unwrap();
+            for entry in fs::read_dir(dir.join(PARTS_DIR)).unwrap() {
+                let path = entry.unwrap().path();
+                fs::copy(&path, snap.join(PARTS_DIR).join(path.file_name().unwrap())).unwrap();
+            }
+            let done: Vec<usize> = ResultStore::open(&snap).unwrap().completed().collect();
+            fs::remove_dir_all(&snap).unwrap();
+            done
+        };
+        let check = |reader: &mut ResultStore| {
+            reader.refresh_done().unwrap();
+            assert_eq!(reader.completed().collect::<Vec<_>>(), fresh());
+        };
+        let mut manifest = fs::OpenOptions::new()
+            .append(true)
+            .open(dir.join(MANIFEST_NAME))
+            .unwrap();
+        check(&mut reader);
+        writer.append(&row(0)).unwrap();
+        writer.append(&row(3)).unwrap();
+        check(&mut reader);
+        // Cell 12's row is durable but its `done` line is torn after
+        // "done 1": neither view may count cell 1 (or 12) yet.
+        fs::write(
+            dir.join(PARTS_DIR).join("part-0000-w2.apc"),
+            colstore::encode_block(&[row(12)]),
+        )
+        .unwrap();
+        manifest.write_all(b"done 1").unwrap();
+        check(&mut reader);
+        assert!(!reader.contains(1) && !reader.contains(12));
+        // The line completes: both views now count cell 12.
+        manifest.write_all(b"2\n").unwrap();
+        check(&mut reader);
+        assert!(reader.contains(12) && !reader.contains(1));
+        writer.append(&row(70)).unwrap();
+        check(&mut reader);
+        assert_eq!(reader.completed_count(), 4);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -185,3 +185,55 @@ fn killed_worker_is_stolen_and_bytes_still_match() {
     run_ok(&args);
     assert_eq!(outputs(&dir), reference(), "post-kill output differs");
 }
+
+/// A 66-cell grid of short cells: three batches at the default geometry.
+const WIDE_GRID: &[&str] = &[
+    "--policies",
+    "shut,mix",
+    "--caps",
+    "0.6",
+    "--seeds",
+    "22",
+    "--racks",
+    "1",
+    "--intervals",
+    "medianjob",
+    "--threads",
+    "1",
+    "--no-sync",
+    "--quiet",
+];
+
+fn renders(dir: &Path) -> Vec<Vec<u8>> {
+    ["cells.csv", "summary.csv", "cells.json", "summary.json"]
+        .iter()
+        .map(|name| {
+            fs::read(dir.join(name))
+                .unwrap_or_else(|e| panic!("missing {} in {}: {e}", name, dir.display()))
+        })
+        .collect()
+}
+
+#[test]
+fn default_lease_geometry_splits_the_grid_across_workers() {
+    let dist = temp_dir("default-geometry");
+    let local = temp_dir("default-geometry-ref");
+    let (dist_s, local_s) = (dist.to_str().unwrap(), local.to_str().unwrap());
+    let mut args = WIDE_GRID.to_vec();
+    args.extend(["--distributed", dist_s, "--workers", "2"]);
+    run_ok(&args);
+    let mut args = WIDE_GRID.to_vec();
+    args.extend(["--out", local_s]);
+    run_ok(&args);
+
+    // No --lease-cells: the coordinator writes the default 32-cell batches,
+    // so the grid is several batches, not one a single worker runs alone.
+    let log = LeaseLog::open(&dist).unwrap();
+    assert_eq!(log.header().total_cells, 66);
+    assert_eq!(log.header().lease_cells, 32);
+    assert_eq!(log.header().batch_count(), 3);
+    assert!(log.state().all_done());
+    assert_eq!(renders(&dist), renders(&local), "2-worker renders differ");
+    fs::remove_dir_all(&dist).unwrap();
+    fs::remove_dir_all(&local).unwrap();
+}
