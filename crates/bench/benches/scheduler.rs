@@ -113,10 +113,81 @@ fn bench_pending_heavy(c: &mut Criterion) {
     group.finish();
 }
 
+/// The pending-heavy MIX / 60 % pass across machine sizes: 90 nodes,
+/// Curie's 5 040 and 100 800. Jobs take 1/18 of the machine, so ~18 run at
+/// once and the 2 000-job queue stays ~2 000 deep at every scale. ns/iter
+/// is one whole run (set-up and event handling included); before timing,
+/// one instrumented run prints the mean wall time of a schedule pass alone
+/// (`rjms.schedule_pass.duration_ns`).
+fn bench_pass_scale(c: &mut Criterion) {
+    use apc_core::{PowercapConfig, PowercapHook};
+    use apc_obs::{Registry, SpanRecorder};
+    use apc_rjms::cluster::Platform;
+    use apc_rjms::config::ControllerConfig;
+    use apc_rjms::controller::Controller;
+    use apc_rjms::job::JobSubmission;
+    use apc_rjms::obs::ControllerObs;
+    use apc_rjms::time::{SimTime, TimeWindow, HOUR};
+
+    let run = |platform: &Platform, obs: ControllerObs| {
+        let hook = PowercapHook::new(PowercapConfig::for_policy(PowercapPolicy::Mix), platform);
+        let mut controller = Controller::with_hook(
+            platform.clone(),
+            ControllerConfig::default(),
+            Box::new(hook),
+        );
+        controller.set_obs(obs);
+        let cap = platform.power_fraction(0.6);
+        controller.add_powercap_reservation(TimeWindow::new(0, 4 * HOUR), cap);
+        let cores = (platform.total_nodes() / 18) as u32 * platform.cores_per_node;
+        for i in 0..2_000u64 {
+            controller.submit(JobSubmission::new(
+                (i % 7) as usize,
+                0,
+                cores,
+                2 * HOUR,
+                900 + (i % 13) as SimTime * 60,
+            ));
+        }
+        controller.set_horizon(2 * HOUR);
+        black_box(controller.run().launched_jobs)
+    };
+
+    let mut group = c.benchmark_group("schedule_pass_scale");
+    group.sample_size(10);
+    group.warm_up_time(std::time::Duration::from_millis(100));
+    group.measurement_time(std::time::Duration::from_millis(500));
+    for (name, platform) in [
+        ("nodes_90", Platform::curie_scaled(1)),
+        ("nodes_5040", Platform::curie()),
+        ("nodes_100800", Platform::curie_scaled(1120)),
+    ] {
+        let registry = Registry::new();
+        run(
+            &platform,
+            ControllerObs::new(&registry, SpanRecorder::disabled()),
+        );
+        let passes = registry.snapshot();
+        let passes = passes
+            .histogram("rjms.schedule_pass.duration_ns")
+            .expect("pass histogram");
+        println!(
+            "  schedule_pass_scale/{name}: {:.0} ns per pass ({} passes)",
+            passes.mean(),
+            passes.count
+        );
+        group.bench_function(name, |b| {
+            b.iter(|| run(&platform, ControllerObs::disabled()))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_replay_per_policy,
     bench_backfill_depth,
-    bench_pending_heavy
+    bench_pending_heavy,
+    bench_pass_scale
 );
 criterion_main!(benches);

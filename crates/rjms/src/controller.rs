@@ -21,7 +21,7 @@ use crate::job::{Job, JobId, JobState, JobSubmission};
 use crate::log::{SimEventKind, SimLog};
 use crate::mask::NodeMask;
 use crate::obs::{ControllerObs, PassMeasurements};
-use crate::priority::{FairShareTracker, MultifactorPriority};
+use crate::priority::{FairShareTracker, MultifactorPriority, PriorityKey};
 use crate::reservation::{ReservationBook, ReservationId, ReservationKind};
 use crate::select::{NodeSelector, SelectScratch};
 use crate::time::{SimTime, TimeWindow};
@@ -81,6 +81,8 @@ struct BlockedEntry {
 /// its high-water capacity and is merely cleared.
 #[derive(Debug, Default)]
 struct ScheduleScratch {
+    /// One `(priority, submit_time, id)` sort key per pending job.
+    priority_keys: Vec<PriorityKey>,
     /// Snapshot of the priority-sorted pending queue for this pass.
     order: Vec<JobId>,
     /// `(walltime_end, node_count)` of running jobs, for the shadow
@@ -108,7 +110,8 @@ impl ScheduleScratch {
     /// allocate". Units are mixed (elements and words); only growth
     /// matters.
     fn footprint(&self) -> usize {
-        self.order.capacity()
+        self.priority_keys.capacity()
+            + self.order.capacity()
             + self.releases.capacity()
             + self.selected.capacity()
             + self.selected_mask.word_capacity()
@@ -628,19 +631,20 @@ impl Controller {
         self.fairshare.decay_to(self.now);
         let total_cores = self.cluster.platform().total_cores();
         let cores_per_node = self.cluster.platform().cores_per_node;
-        self.priority.sort_pending(
-            &self.jobs,
-            &mut self.pending,
-            self.now,
-            total_cores,
-            &self.fairshare,
-        );
 
         // Take the scratch buffers out of `self` for the pass so their
         // borrows are disjoint from the controller's own fields; they go
         // back (with their grown capacities) at the end.
         let mut scratch = std::mem::take(&mut self.scratch);
         let footprint_before = scratch.footprint();
+        self.priority.sort_pending(
+            &self.jobs,
+            &mut self.pending,
+            self.now,
+            total_cores,
+            &self.fairshare,
+            &mut scratch.priority_keys,
+        );
 
         let backfill_cfg = self.config.params.backfill;
         let depth = if backfill_cfg.enabled {
@@ -661,6 +665,7 @@ impl Controller {
         // pass falls back to exact per-job computation instead of silently
         // ignoring the overflow (reservation #129 blocks nodes too).
         let ScheduleScratch {
+            priority_keys: _,
             order,
             releases,
             selected,

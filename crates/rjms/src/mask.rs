@@ -133,6 +133,31 @@ impl NodeMask {
             .sum()
     }
 
+    /// `|self & !other|` restricted to ids in `[start, end)`: a word-wise
+    /// popcount with the edge words masked, so counting one chassis costs
+    /// the words it spans, not the ids it holds. Ids past the mask's
+    /// capacity count as absent; `start >= end` counts nothing.
+    pub fn count_and_not_in(&self, other: &NodeMask, start: usize, end: usize) -> usize {
+        let end = end.min(self.words.len() * WORD_BITS);
+        if start >= end {
+            return 0;
+        }
+        let first = start / WORD_BITS;
+        let last = (end - 1) / WORD_BITS;
+        (first..=last)
+            .map(|i| {
+                let mut word = self.words[i] & !other.words.get(i).copied().unwrap_or(0);
+                if i == first {
+                    word &= u64::MAX << (start % WORD_BITS);
+                }
+                if i == last {
+                    word &= u64::MAX >> (WORD_BITS - 1 - (end - 1) % WORD_BITS);
+                }
+                word.count_ones() as usize
+            })
+            .sum()
+    }
+
     /// Iterate the set ids in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(i, &w)| BitIter {
@@ -338,6 +363,56 @@ mod tests {
         assert_eq!(avail.iter_and_not(&blocked).count(), 150);
         // Empty range.
         assert_eq!(avail.iter_and_not_in(&blocked, 50, 50).count(), 0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn count_and_not_in_matches_a_per_id_count(
+            self_bits in proptest::collection::vec(0usize..300, 0..200),
+            other_bits in proptest::collection::vec(0usize..300, 0..200),
+            sizes in (1usize..300, 0usize..300),
+            ranges in proptest::collection::vec((0usize..340, 0usize..340), 1..40),
+        ) {
+            // `other` often has fewer words than `self` (or none at all).
+            let (self_len, other_len) = sizes;
+            let mut mask = NodeMask::with_capacity(self_len);
+            mask.extend(self_bits.iter().map(|&b| b % self_len));
+            let other: NodeMask = other_bits.iter().copied().filter(|&b| b < other_len).collect();
+            let reference = |start: usize, end: usize| {
+                (start..end).filter(|&id| mask.contains(id) && !other.contains(id)).count()
+            };
+            let capacity = mask.words.len() * WORD_BITS;
+            // Every range whose ends sit on or next to a word edge, empty
+            // and reversed ranges, and ranges running past the capacity.
+            let edges: Vec<usize> = (0..=capacity / WORD_BITS + 1)
+                .flat_map(|w| {
+                    let e = w * WORD_BITS;
+                    [e.saturating_sub(1), e, e + 1]
+                })
+                .collect();
+            for &start in &edges {
+                for &end in &edges {
+                    proptest::prop_assert_eq!(
+                        mask.count_and_not_in(&other, start, end),
+                        reference(start, end),
+                        "[{}, {})", start, end
+                    );
+                }
+            }
+            for &(start, end) in &ranges {
+                proptest::prop_assert_eq!(
+                    mask.count_and_not_in(&other, start, end),
+                    reference(start, end),
+                    "[{}, {})", start, end
+                );
+            }
+            proptest::prop_assert_eq!(
+                mask.count_and_not_in(&other, 0, usize::MAX),
+                mask.count_and_not(&other)
+            );
+        }
     }
 
     #[test]

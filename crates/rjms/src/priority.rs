@@ -118,6 +118,9 @@ impl FairShareTracker {
     }
 }
 
+/// Sort key of one pending job: `(priority, submit_time, job id)`.
+pub type PriorityKey = (f64, SimTime, usize);
+
 /// The multifactor priority calculator.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct MultifactorPriority {
@@ -151,8 +154,15 @@ impl MultifactorPriority {
         w.age * age_factor + w.size * size_factor + w.fairshare * fs_factor
     }
 
-    /// Order pending job indices by decreasing priority (stable: ties keep
-    /// submission order, which preserves FCFS among equals).
+    /// Order pending job indices by decreasing priority. Ties go to the
+    /// earlier submission (FCFS among equals), then to the lower job id.
+    ///
+    /// Each job's priority is evaluated once: `keys` (a caller-provided
+    /// buffer, reused across passes) is filled with one
+    /// `(priority, submit_time, id)` key per pending job, the keys are
+    /// sorted, and the ids are written back. The id tie-break makes the
+    /// order total for finite priorities, so the permutation does not
+    /// depend on the sort algorithm.
     pub fn sort_pending(
         &self,
         jobs: &[Job],
@@ -160,20 +170,26 @@ impl MultifactorPriority {
         now: SimTime,
         total_cores: u64,
         fairshare: &FairShareTracker,
+        keys: &mut Vec<PriorityKey>,
     ) {
-        pending.sort_by(|&a, &b| {
-            let pa = self.priority(&jobs[a], now, total_cores, fairshare);
-            let pb = self.priority(&jobs[b], now, total_cores, fairshare);
-            pb.partial_cmp(&pa)
+        keys.clear();
+        keys.extend(pending.iter().map(|&id| {
+            let job = &jobs[id];
+            (
+                self.priority(job, now, total_cores, fairshare),
+                job.submission.submit_time,
+                id,
+            )
+        }));
+        keys.sort_by(|a, b| {
+            b.0.partial_cmp(&a.0)
                 .unwrap_or(std::cmp::Ordering::Equal)
-                .then(
-                    jobs[a]
-                        .submission
-                        .submit_time
-                        .cmp(&jobs[b].submission.submit_time),
-                )
-                .then(a.cmp(&b))
+                .then(a.1.cmp(&b.1))
+                .then(a.2.cmp(&b.2))
         });
+        for (slot, key) in pending.iter_mut().zip(keys.iter()) {
+            *slot = key.2;
+        }
     }
 }
 
@@ -245,7 +261,7 @@ mod tests {
         let b = job(1, 1, 500, 64);
         let jobs = vec![a, b];
         let mut pending = vec![1, 0];
-        prio.sort_pending(&jobs, &mut pending, 1000, 80_640, &fs);
+        prio.sort_pending(&jobs, &mut pending, 1000, 80_640, &fs, &mut Vec::new());
         assert_eq!(pending, vec![0, 1], "light user first");
     }
 
@@ -255,8 +271,82 @@ mod tests {
         let fs = FairShareTracker::default();
         let jobs = vec![job(0, 0, 100, 64), job(1, 0, 100, 64), job(2, 0, 100, 64)];
         let mut pending = vec![2, 0, 1];
-        prio.sort_pending(&jobs, &mut pending, 80_640, 5000, &fs);
+        prio.sort_pending(&jobs, &mut pending, 80_640, 5000, &fs, &mut Vec::new());
         assert_eq!(pending, vec![0, 1, 2]);
+    }
+
+    /// The comparator sort `sort_pending` replaced: `priority()` is
+    /// evaluated inside every comparison.
+    fn reference_sort(
+        prio: &MultifactorPriority,
+        jobs: &[Job],
+        pending: &mut [usize],
+        now: SimTime,
+        total_cores: u64,
+        fairshare: &FairShareTracker,
+    ) {
+        pending.sort_by(|&a, &b| {
+            let pa = prio.priority(&jobs[a], now, total_cores, fairshare);
+            let pb = prio.priority(&jobs[b], now, total_cores, fairshare);
+            pb.partial_cmp(&pa)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(
+                    jobs[a]
+                        .submission
+                        .submit_time
+                        .cmp(&jobs[b].submission.submit_time),
+                )
+                .then(a.cmp(&b))
+        });
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn keyed_sort_matches_the_comparator_sort(
+            specs in proptest::collection::vec((0usize..4, 0u64..4, 0usize..3, 0u64..1000), 0..60),
+            usage in proptest::collection::vec((0usize..5, 0u64..4, 0u64..4), 0..8),
+            clock in (0u64..3, 0u64..20_000),
+        ) {
+            // Few users, four submit times and three sizes give many exact
+            // priority ties; the last tuple field shuffles the queue. Half
+            // the cases zero the age and size weights so only fair-share
+            // separates jobs.
+            let (weights_kind, now_offset) = clock;
+            let weights = match weights_kind {
+                0 => PriorityWeights::default(),
+                1 => PriorityWeights { age: 0.0, size: 0.0, ..PriorityWeights::default() },
+                _ => PriorityWeights { max_age: 600, ..PriorityWeights::default() },
+            };
+            let prio = MultifactorPriority::new(weights);
+            let mut fs = FairShareTracker::new(1.0e4, 3600);
+            for &(user, amount, when) in &usage {
+                let core_seconds = amount as f64 * 5.0e3;
+                if when == 0 {
+                    fs.seed_usage(user, core_seconds);
+                } else {
+                    fs.record_usage(user, core_seconds, when * 900);
+                }
+            }
+            let now = 3 * 900 + now_offset;
+            fs.decay_to(now);
+            let jobs: Vec<Job> = specs
+                .iter()
+                .enumerate()
+                .map(|(id, &(user, submit, size, _))| {
+                    job(id, user, submit * 500, [16, 64, 1024][size])
+                })
+                .collect();
+            let mut pending: Vec<usize> = (0..jobs.len()).collect();
+            pending.sort_by_key(|&id| specs[id].3);
+            let mut expected = pending.clone();
+            reference_sort(&prio, &jobs, &mut expected, now, 80_640, &fs);
+            let mut keys = Vec::new();
+            prio.sort_pending(&jobs, &mut pending, now, 80_640, &fs, &mut keys);
+            proptest::prop_assert_eq!(pending, expected);
+            proptest::prop_assert_eq!(keys.len(), jobs.len());
+        }
     }
 
     #[test]

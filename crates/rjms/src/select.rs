@@ -9,9 +9,13 @@
 //! Selection runs on the cluster's availability [`NodeMask`]: first-fit is
 //! a single word scan over `available & !blocked`, and the contiguous
 //! policy walks chassis bit-ranges in preference order (partially used
-//! chassis first, so untouched chassis stay whole) — no candidate vector is
-//! materialised and, with a caller-provided [`SelectScratch`] and output
-//! buffer, a selection performs no heap allocation in the steady state.
+//! chassis first, so untouched chassis stay whole). It classifies each
+//! chassis by its selectable-node count, one
+//! [`NodeMask::count_and_not_in`] popcount over the chassis's words, so
+//! counting costs O(words + chassis) rather than a visit per free node.
+//! No candidate vector is materialised and, with a caller-provided
+//! [`SelectScratch`] and output buffer, a selection performs no heap
+//! allocation in the steady state.
 
 use crate::cluster::Cluster;
 use crate::mask::NodeMask;
@@ -91,15 +95,17 @@ impl NodeSelector {
                 // Candidate count per chassis: a chassis whose every node is
                 // selectable is "fully free" and kept whole for switch-off
                 // grouping — partially used chassis are consumed first.
-                scratch.free_per_chassis.clear();
-                scratch.free_per_chassis.resize(chassis_count, 0);
-                for id in available.iter_and_not(blocked) {
-                    scratch.free_per_chassis[topo.group_of(0, id)] += 1;
-                }
                 let chassis_range = |chassis: usize| {
                     let r = topo.nodes_of_group(0, chassis);
                     (r.start, r.end)
                 };
+                scratch.free_per_chassis.clear();
+                scratch
+                    .free_per_chassis
+                    .extend((0..chassis_count).map(|chassis| {
+                        let (start, end) = chassis_range(chassis);
+                        available.count_and_not_in(blocked, start, end)
+                    }));
                 // Pass 1: partially used chassis, ascending chassis id.
                 'outer: for pass_fully_free in [false, true] {
                     for (chassis, &free) in scratch.free_per_chassis.iter().enumerate() {
@@ -220,6 +226,91 @@ mod tests {
         expected.extend(0..4); // then chassis 0
         expected.sort_unstable();
         assert_eq!(nodes, expected);
+    }
+
+    /// The contiguous selection with the per-node chassis count that
+    /// `count_and_not_in` replaced: visit every selectable node and divide
+    /// its id.
+    fn reference_contiguous(cluster: &Cluster, needed: usize, blocked: &NodeMask) -> Vec<usize> {
+        let available = cluster.available_mask();
+        if needed == 0 || available.count_and_not(blocked) < needed {
+            return Vec::new();
+        }
+        let topo = &cluster.platform().topology;
+        let chassis_size = topo.nodes_per_group(0);
+        let mut free_per_chassis = vec![0usize; topo.group_count(0)];
+        for id in available.iter_and_not(blocked) {
+            free_per_chassis[topo.group_of(0, id)] += 1;
+        }
+        let mut out = Vec::new();
+        'outer: for pass_fully_free in [false, true] {
+            for (chassis, &free) in free_per_chassis.iter().enumerate() {
+                if free == 0 || (free == chassis_size) != pass_fully_free {
+                    continue;
+                }
+                let r = topo.nodes_of_group(0, chassis);
+                for id in available.iter_and_not_in(blocked, r.start, r.end) {
+                    out.push(id);
+                    if out.len() == needed {
+                        break 'outer;
+                    }
+                }
+            }
+        }
+        out.sort_unstable();
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn contiguous_selection_matches_the_per_node_count(
+            racks in 1usize..5,
+            chassis_modes in proptest::collection::vec(0u8..4, 20..21),
+            node_draws in proptest::collection::vec((0u8..8, 0u8..6), 360..361),
+            needs in proptest::collection::vec(0usize..400, 1..12),
+        ) {
+            // Chassis are 18 nodes, so on `curie_scaled(racks)` chassis 3
+            // (nodes 54..72) and 6 (108..126) straddle 64-bit word edges.
+            // Per chassis: fully free, all busy, or a per-node mix of free,
+            // allocated, powered-off and drained nodes.
+            let mut c = Cluster::new(Platform::curie_scaled(racks));
+            let n = c.nodes().len();
+            let mut busy = Vec::new();
+            let mut off = Vec::new();
+            let mut drained = Vec::new();
+            let mut blocked = NodeMask::default();
+            for id in 0..n {
+                let (state, block) = node_draws[id];
+                match (chassis_modes[id / 18], state) {
+                    (0, _) => {}
+                    (1, _) => busy.push(id),
+                    (_, 0..=2) => {}
+                    (_, 3..=5) => busy.push(id),
+                    (_, 6) => off.push(id),
+                    _ => drained.push(id),
+                }
+                if block == 0 {
+                    blocked.insert(id);
+                }
+            }
+            c.allocate(1, &busy, Frequency::from_ghz(2.7), 0);
+            c.power_off(&off, 0);
+            c.drain(&drained);
+            let sel = NodeSelector::new(SelectionPolicy::Contiguous);
+            let mut scratch = SelectScratch::default();
+            let mut out = Vec::new();
+            for blocked in [NodeMask::default(), blocked] {
+                for &needed in &needs {
+                    let needed = needed % (n + 2);
+                    let ok = sel.select_into(&c, needed, &blocked, &mut scratch, &mut out);
+                    let expected = reference_contiguous(&c, needed, &blocked);
+                    proptest::prop_assert_eq!(ok, needed == 0 || !expected.is_empty());
+                    proptest::prop_assert_eq!(&out, &expected, "needed {}", needed);
+                }
+            }
+        }
     }
 
     #[test]
