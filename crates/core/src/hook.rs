@@ -524,4 +524,80 @@ mod tests {
         assert!(hook.decisions()[0].reserves_shutdown());
         assert!(hook.degradation().degmin() > 1.0);
     }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// The `SchedulingHook::authorize_start` contract the controller's
+        /// pass skip relies on, for every policy's ladder: the decision is
+        /// pure, and a `Postpone` stays a `Postpone` as `now` advances on an
+        /// unchanged cluster and candidate set until a reservation starts
+        /// or ends — whatever the caps, including windows that open later.
+        #[test]
+        fn postpone_is_pure_and_holds_as_time_advances(
+            racks in 1usize..3,
+            busy in proptest::collection::vec((0usize..180, 0usize..4), 0..120),
+            dark_chassis in 0usize..4,
+            caps in proptest::collection::vec((0u64..40_000, 1u64..20_000, 30u32..100), 1..4),
+            job in (1usize..40, 60u64..30_000),
+            times in (0u64..40_000, 0u64..40_000),
+        ) {
+            let p = Platform::curie_scaled(racks);
+            let n = p.total_nodes();
+            let steps: Vec<Frequency> = p.ladder.steps().to_vec();
+            let mut cluster = apc_rjms::cluster::Cluster::new(p.clone());
+            // Whole chassis switched off, then some nodes busy at random
+            // frequencies.
+            let off: Vec<usize> = (0..dark_chassis * 18).map(|id| n - 1 - id % n).collect();
+            cluster.power_off(&off, 0);
+            for (job_id, &(node, step)) in busy.iter().enumerate() {
+                let node = node % n;
+                if cluster.node(node).is_available() {
+                    cluster.allocate(job_id, &[node], steps[step % steps.len()], 0);
+                }
+            }
+            let candidates: Vec<usize> = cluster.available_nodes().take(job.0).collect();
+            let mut book = ReservationBook::new();
+            for &(start, length, percent) in &caps {
+                book.add(
+                    TimeWindow::new(start, start + length),
+                    apc_rjms::reservation::ReservationKind::PowerCap {
+                        cap: p.power_fraction(f64::from(percent) / 100.0),
+                    },
+                );
+            }
+            // `later` stops short of the first reservation edge after `now`.
+            let now = times.0;
+            let next_edge = caps
+                .iter()
+                .flat_map(|&(start, length, _)| [start, start + length])
+                .filter(|&edge| edge > now)
+                .min()
+                .unwrap_or(SimTime::MAX);
+            let later = (now + times.1).min(next_edge - 1);
+            let submitted = Job::new(
+                0,
+                JobSubmission::new(0, 0, candidates.len() as u32 * 16, job.1, job.1 / 2),
+            );
+            for policy in PowercapPolicy::ALL {
+                let mut hook = PowercapHook::for_policy(policy, &p);
+                let online = OnlineScheduler::new(policy, &p.ladder);
+                let first = hook.authorize_start(&cluster, &book, &submitted, &candidates, now);
+                let again = hook.authorize_start(&cluster, &book, &submitted, &candidates, now);
+                proptest::prop_assert_eq!(first, again, "{} is not pure", policy);
+                let chosen = online.choose(&cluster, &book, &submitted, &candidates, now);
+                proptest::prop_assert_eq!(first == StartDecision::Postpone, chosen == FrequencyChoice::Postpone);
+                if first == StartDecision::Postpone {
+                    proptest::prop_assert_eq!(
+                        hook.authorize_start(&cluster, &book, &submitted, &candidates, later),
+                        StartDecision::Postpone,
+                        "{} postponed at {} but starts at {}",
+                        policy,
+                        now,
+                        later
+                    );
+                }
+            }
+        }
+    }
 }

@@ -39,6 +39,23 @@ pub trait SchedulingHook {
     /// Called during the allocation phase, before a pending job is started on
     /// `candidate_nodes` at `now`. The default implementation starts every
     /// job at the platform's maximum frequency.
+    ///
+    /// # Contract
+    ///
+    /// The controller skips schedule passes it can prove start nothing, and
+    /// the proof for a postponed job rests on two properties every
+    /// implementation must keep:
+    ///
+    /// * the decision is a pure function of the arguments (no state of the
+    ///   hook changes it, and calling it has no effect);
+    /// * a `Postpone` stays a `Postpone` as `now` advances, as long as the
+    ///   cluster, the reservation book and the candidate set are unchanged
+    ///   and no reservation starts or ends in between.
+    ///
+    /// A cap-aware hook keeps the second one when it checks the tightest cap
+    /// over the job's window `[now, now + walltime)`: a later `now` can
+    /// only bring more cap windows into it, and a window leaves it only by
+    /// ending.
     fn authorize_start(
         &mut self,
         cluster: &Cluster,
