@@ -3,12 +3,21 @@
 //! The controller owns the cluster state, the pending queue, the event queue,
 //! the reservation book and the scheduling hook. It advances the simulation
 //! clock by consuming events (submissions, completions, reservation windows)
-//! and runs a scheduling pass — priority sort, FCFS + EASY backfilling,
-//! node selection, hook authorisation — after every event batch.
+//! and, after every event batch, runs a scheduling pass — priority sort,
+//! FCFS + EASY backfilling, node selection, hook authorisation.
 //!
 //! Because the simulation is a pure discrete-event system, the cluster state
 //! only changes at events, so running the scheduler exactly once per event
 //! timestamp is both sufficient and deterministic.
+//!
+//! A batch of only job submissions frees nothing: only the clock moved and
+//! new jobs arrived. After such a batch the pass is skipped when it provably
+//! starts nothing. Each pass leaves a [`Certificate`] on every job it finds
+//! unable to start, and the skip test re-examines only the jobs whose
+//! certificate no longer holds (new arrivals, mostly). When every pending
+//! job holds one, no priority order can start a job, so the pass — whose
+//! only other effect is the fair-share decay, still applied — is skipped
+//! with byte-identical results.
 
 use apc_power::{Frequency, Joules, Watts};
 
@@ -74,6 +83,43 @@ struct BlockedEntry {
     count_valid: bool,
 }
 
+/// Why a pending job cannot start: the proof a schedule pass leaves behind
+/// so that a later pass can be skipped without examining the job again.
+///
+/// Between two non-submission events (a *submit-only interval*) the
+/// cluster changes only by job starts, and a job's blocked set only grows:
+/// a reservation leaves the window `[now, now + walltime)` only when it
+/// ends, which is an event, and a later `now` can only reach more of them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Certificate {
+    /// No proof: the job must be examined.
+    #[default]
+    Unknown,
+    /// The job needs more nodes than are selectable outside its blocked
+    /// set. Starts only take nodes and the blocked set only grows, so this
+    /// holds until the next non-submission event (`epoch` is the
+    /// controller's `event_epoch` at issue).
+    Nodes { epoch: u64 },
+    /// Nodes were selected but the hook postponed the job. On an unchanged
+    /// cluster and candidate set the hook keeps postponing as `now`
+    /// advances (the [`SchedulingHook::authorize_start`] contract), so this
+    /// holds until the next job start or non-submission event (`epoch` is
+    /// the controller's `state_epoch` at issue) and while the job's window
+    /// overlaps the same node-carrying reservations — that is, before
+    /// `expires`, the first instant it reaches one more.
+    Power { epoch: u64, expires: SimTime },
+}
+
+impl Certificate {
+    fn holds(self, now: SimTime, event_epoch: u64, state_epoch: u64) -> bool {
+        match self {
+            Certificate::Unknown => false,
+            Certificate::Nodes { epoch } => epoch == event_epoch,
+            Certificate::Power { epoch, expires } => epoch == state_epoch && now < expires,
+        }
+    }
+}
+
 /// Reusable buffers for `schedule_pass`. Taken out of the controller for
 /// the duration of a pass (so the borrow checker sees disjoint borrows) and
 /// put back afterwards: in the steady state a pass performs no heap
@@ -83,8 +129,6 @@ struct BlockedEntry {
 struct ScheduleScratch {
     /// One `(priority, submit_time, id)` sort key per pending job.
     priority_keys: Vec<PriorityKey>,
-    /// Snapshot of the priority-sorted pending queue for this pass.
-    order: Vec<JobId>,
     /// `(walltime_end, node_count)` of running jobs, for the shadow
     /// reservation (sorted in place by `shadow_reservation`).
     releases: Vec<(SimTime, usize)>,
@@ -96,6 +140,9 @@ struct ScheduleScratch {
     select: SelectScratch,
     /// Census of node-carrying reservations: `(signature bit, window, id)`.
     node_res: Vec<(u128, TimeWindow, ReservationId)>,
+    /// The census overflowed the signature width: blocked sets are
+    /// computed exactly per job.
+    exact_mode: bool,
     /// Blocked-set cache, keyed by signature; `cache[..cache_live]` are the
     /// entries of the current pass (dead entries keep their buffers).
     cache: Vec<BlockedEntry>,
@@ -111,7 +158,6 @@ impl ScheduleScratch {
     /// matters.
     fn footprint(&self) -> usize {
         self.priority_keys.capacity()
-            + self.order.capacity()
             + self.releases.capacity()
             + self.selected.capacity()
             + self.selected_mask.word_capacity()
@@ -124,6 +170,123 @@ impl ScheduleScratch {
                 .map(|e| e.blocked.word_capacity())
                 .sum::<usize>()
             + self.exact_blocked.word_capacity()
+    }
+
+    /// Start a pass: take the census of node-carrying reservations and
+    /// empty the blocked-set cache.
+    ///
+    /// The blocked-node set of a job only depends on which node-carrying
+    /// reservations overlap its prospective window. With a handful of
+    /// reservations and thousands of pending jobs, most jobs share the
+    /// same overlap signature, so the (potentially large) node sets are
+    /// built once per signature and per pass instead of once per job —
+    /// and survive job starts, which only invalidate the availability
+    /// *counts*. Should the census ever exceed the signature width, the
+    /// pass falls back to exact per-job computation instead of silently
+    /// ignoring the overflow (reservation #129 blocks nodes too).
+    fn take_census(&mut self, reservations: &ReservationBook) {
+        self.node_res.clear();
+        let mut total = 0usize;
+        for r in reservations.all() {
+            if r.blocked_nodes().is_some() {
+                if total < SIGNATURE_BITS {
+                    self.node_res.push((1u128 << total, r.window, r.id));
+                }
+                total += 1;
+            }
+        }
+        self.exact_mode = total > SIGNATURE_BITS;
+        self.cache_live = 0;
+    }
+
+    /// Resolve the blocked set of the window `[now, window_end)` and the
+    /// number of nodes selectable outside it: through the signature cache
+    /// normally, exactly per job when the census overflows the signature.
+    /// Returns the cache slot (`None` in exact mode, where the set is left
+    /// in `exact_blocked`) and the count.
+    fn resolve(
+        &mut self,
+        reservations: &ReservationBook,
+        selector: &NodeSelector,
+        cluster: &Cluster,
+        now: SimTime,
+        window_end: SimTime,
+        measurements: &mut PassMeasurements,
+    ) -> (Option<usize>, usize) {
+        if self.exact_mode {
+            self.exact_blocked.clear();
+            reservations.collect_blocked_within(now, window_end, &mut self.exact_blocked);
+            return (None, selector.available_count(cluster, &self.exact_blocked));
+        }
+        let signature: u128 = self
+            .node_res
+            .iter()
+            .filter(|(_, window, _)| window.overlaps(now, window_end))
+            .map(|(bit, _, _)| bit)
+            .sum();
+        let index = match (0..self.cache_live).find(|&i| self.cache[i].signature == signature) {
+            Some(i) => {
+                measurements.cache_hits += 1;
+                i
+            }
+            None => {
+                measurements.cache_misses += 1;
+                let i = self.cache_live;
+                if i == self.cache.len() {
+                    self.cache.push(BlockedEntry::default());
+                }
+                let entry = &mut self.cache[i];
+                entry.signature = signature;
+                entry.blocked.clear();
+                entry.count_valid = false;
+                for (bit, _, id) in self.node_res.iter() {
+                    if signature & bit != 0 {
+                        let reservation = reservations.get(*id).expect("censused reservation");
+                        if let Some(nodes) = reservation.blocked_nodes() {
+                            entry.blocked.extend(nodes.iter().copied());
+                        }
+                    }
+                }
+                self.cache_live += 1;
+                i
+            }
+        };
+        let entry = &mut self.cache[index];
+        if !entry.count_valid {
+            entry.count = selector.available_count(cluster, &entry.blocked);
+            entry.count_valid = true;
+        }
+        (Some(index), entry.count)
+    }
+
+    /// Select `needed` nodes outside the blocked set `resolve` returned for
+    /// `slot`, into `selected`.
+    fn select(
+        &mut self,
+        selector: &NodeSelector,
+        cluster: &Cluster,
+        needed: usize,
+        slot: Option<usize>,
+    ) -> bool {
+        let blocked = match slot {
+            Some(i) => &self.cache[i].blocked,
+            None => &self.exact_blocked,
+        };
+        selector.select_into(
+            cluster,
+            needed,
+            blocked,
+            &mut self.select,
+            &mut self.selected,
+        )
+    }
+
+    /// Node availability changed: invalidate the cached counts (the blocked
+    /// sets themselves are unaffected).
+    fn invalidate_counts(&mut self) {
+        for entry in &mut self.cache[..self.cache_live] {
+            entry.count_valid = false;
+        }
     }
 }
 
@@ -146,6 +309,14 @@ pub struct Controller {
     finished: bool,
     events_processed: u64,
     sched_passes: u64,
+    skipped_passes: u64,
+    /// One [`Certificate`] per job, indexed by job id.
+    certificates: Vec<Certificate>,
+    /// Bumped by every state change other than a submission or a job
+    /// start: non-submission events, kills, new reservations.
+    event_epoch: u64,
+    /// Bumped with `event_epoch` and by every job start.
+    state_epoch: u64,
     scratch: ScheduleScratch,
     scratch_growth_passes: u64,
     obs: ControllerObs,
@@ -185,6 +356,10 @@ impl Controller {
             finished: false,
             events_processed: 0,
             sched_passes: 0,
+            skipped_passes: 0,
+            certificates: Vec::new(),
+            event_epoch: 0,
+            state_epoch: 0,
             scratch: ScheduleScratch::default(),
             scratch_growth_passes: 0,
             obs: ControllerObs::disabled(),
@@ -248,9 +423,17 @@ impl Controller {
         self.events_processed
     }
 
-    /// Number of scheduling passes run so far (one per event batch).
+    /// Number of scheduling passes run so far (one per event batch),
+    /// skipped ones included.
     pub fn schedule_passes(&self) -> u64 {
         self.sched_passes
+    }
+
+    /// Number of passes skipped after a submit-only batch because no
+    /// pending job could start (a subset of
+    /// [`schedule_passes`](Self::schedule_passes)).
+    pub fn skipped_passes(&self) -> u64 {
+        self.skipped_passes
     }
 
     /// Number of scheduling passes whose scratch buffers had to grow.
@@ -283,6 +466,7 @@ impl Controller {
         let id = self.jobs.len();
         let at = submission.submit_time.max(self.now);
         self.jobs.push(Job::new(id, submission));
+        self.certificates.push(Certificate::Unknown);
         self.events.push(at, Event::JobSubmit(id));
         id
     }
@@ -306,6 +490,7 @@ impl Controller {
         window: TimeWindow,
         cap: Watts,
     ) -> (ReservationId, Option<ReservationId>) {
+        self.invalidate_certificates();
         let plan =
             self.hook
                 .plan_powercap(&self.cluster, &self.reservations, window, cap, self.now);
@@ -337,6 +522,7 @@ impl Controller {
         window: TimeWindow,
         nodes: Vec<usize>,
     ) -> ReservationId {
+        self.invalidate_certificates();
         let id = self
             .reservations
             .add(window, ReservationKind::Maintenance { nodes });
@@ -373,39 +559,54 @@ impl Controller {
     /// Run the simulation until the horizon (or until no event remains).
     /// Returns the final report.
     pub fn run(&mut self) -> SimulationReport {
-        while !self.finished {
-            let Some((time, event)) = self.events.pop() else {
-                break;
-            };
-            if let Some(h) = self.horizon {
-                if time > h {
-                    self.now = h;
-                    break;
-                }
-            }
-            debug_assert!(time >= self.now, "event time went backwards");
-            self.now = time;
-            self.process_event(event);
-            // Process every event sharing this timestamp before scheduling.
-            while self.events.peek_time() == Some(self.now) {
-                let (_, e) = self.events.pop().expect("peeked");
-                self.process_event(e);
-                if self.finished {
-                    break;
-                }
-            }
-            if !self.finished {
-                self.schedule_pass();
-            }
+        while let Some(submit_only) = self.next_batch() {
+            self.schedule_pass(submit_only);
         }
+        self.close()
+    }
+
+    /// Bring the clock to the horizon and report.
+    fn close(&mut self) -> SimulationReport {
         let horizon = self.horizon.unwrap_or(self.now);
         self.now = self.now.max(horizon);
         self.cluster.advance_time(self.now);
         self.report()
     }
 
+    /// Advance the clock to the next event time and process every event
+    /// sharing that timestamp. Returns whether the batch held only job
+    /// submissions, or `None` once the simulation is over.
+    fn next_batch(&mut self) -> Option<bool> {
+        if self.finished {
+            return None;
+        }
+        let (time, event) = self.events.pop()?;
+        if let Some(h) = self.horizon {
+            if time > h {
+                self.now = h;
+                return None;
+            }
+        }
+        debug_assert!(time >= self.now, "event time went backwards");
+        self.now = time;
+        let epoch = self.event_epoch;
+        self.process_event(event);
+        // Process every event sharing this timestamp before scheduling.
+        while self.events.peek_time() == Some(self.now) {
+            let (_, e) = self.events.pop().expect("peeked");
+            self.process_event(e);
+            if self.finished {
+                break;
+            }
+        }
+        (!self.finished).then_some(self.event_epoch == epoch)
+    }
+
     fn process_event(&mut self, event: Event) {
         self.events_processed += 1;
+        if !matches!(event, Event::JobSubmit(_)) {
+            self.invalidate_certificates();
+        }
         match event {
             Event::JobSubmit(id) => {
                 let job = &self.jobs[id];
@@ -566,6 +767,7 @@ impl Controller {
         if self.jobs[id].state != JobState::Running {
             return;
         }
+        self.invalidate_certificates();
         let cores = self.jobs[id].cores();
         let frequency = self.jobs[id]
             .frequency
@@ -592,6 +794,13 @@ impl Controller {
         }
     }
 
+    /// Void every certificate: the cluster or the reservation book changed
+    /// other than by a submission or a job start.
+    fn invalidate_certificates(&mut self) {
+        self.event_epoch += 1;
+        self.state_epoch += 1;
+    }
+
     /// Release a finishing (completed or killed) job's nodes back to the
     /// cluster. The node set is taken out of the job for the release and
     /// handed back afterwards — no clone, the job keeps it for inspection.
@@ -615,7 +824,10 @@ impl Controller {
     // Scheduling
     // ------------------------------------------------------------------
 
-    fn schedule_pass(&mut self) {
+    /// One scheduling pass. After a submit-only batch (`submit_only`) the
+    /// pass is skipped when [`starts_nothing`](Self::starts_nothing)
+    /// proves it would start no job.
+    fn schedule_pass(&mut self, submit_only: bool) {
         self.sched_passes += 1;
         if self.pending.is_empty() {
             return;
@@ -628,15 +840,132 @@ impl Controller {
             queue_depth: self.pending.len(),
             ..PassMeasurements::default()
         };
+        // The decay runs on skipped passes too: its step history decides
+        // the f64 usage bits and so every later priority.
         self.fairshare.decay_to(self.now);
-        let total_cores = self.cluster.platform().total_cores();
-        let cores_per_node = self.cluster.platform().cores_per_node;
 
         // Take the scratch buffers out of `self` for the pass so their
         // borrows are disjoint from the controller's own fields; they go
         // back (with their grown capacities) at the end.
         let mut scratch = std::mem::take(&mut self.scratch);
         let footprint_before = scratch.footprint();
+        scratch.take_census(&self.reservations);
+        if submit_only && self.starts_nothing(&mut scratch, &mut measurements) {
+            self.skipped_passes += 1;
+            self.obs.pass_skipped();
+        } else {
+            self.full_pass(&mut scratch, &mut measurements);
+            self.obs
+                .pass_end(pass, measurements, self.cluster.accountant().probe_counts());
+        }
+        if scratch.footprint() > footprint_before {
+            self.scratch_growth_passes += 1;
+        }
+        self.scratch = scratch;
+    }
+
+    /// Would a full pass start nothing, in whatever priority order? True
+    /// when no node is free, or when every pending job holds a
+    /// [`Certificate`] — jobs without a valid one are examined alone
+    /// against the current state and certified on the way.
+    ///
+    /// Sound because until the first start of a pass every job is examined
+    /// against this very state, and backfilling, the shadow reservation and
+    /// the examination depth only ever hold jobs back.
+    fn starts_nothing(
+        &mut self,
+        scratch: &mut ScheduleScratch,
+        measurements: &mut PassMeasurements,
+    ) -> bool {
+        if self.cluster.free_count() == 0 {
+            return true;
+        }
+        let cores_per_node = self.cluster.platform().cores_per_node;
+        for i in 0..self.pending.len() {
+            let job_id = self.pending[i];
+            if self.certificates[job_id].holds(self.now, self.event_epoch, self.state_epoch) {
+                continue;
+            }
+            let needed = self.jobs[job_id].nodes_needed(cores_per_node);
+            let window_end = self
+                .now
+                .saturating_add(self.jobs[job_id].submission.walltime);
+            let (slot, available) = scratch.resolve(
+                &self.reservations,
+                &self.selector,
+                &self.cluster,
+                self.now,
+                window_end,
+                measurements,
+            );
+            if needed > available {
+                self.certificates[job_id] = Certificate::Nodes {
+                    epoch: self.event_epoch,
+                };
+                continue;
+            }
+            if self.authorize(scratch, job_id, needed, slot).is_some() {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Select nodes for `job_id` and ask the hook: the frequency to start
+    /// it at (its nodes left in `scratch.selected`), or `None` after
+    /// certifying why it cannot start.
+    fn authorize(
+        &mut self,
+        scratch: &mut ScheduleScratch,
+        job_id: JobId,
+        needed: usize,
+        slot: Option<usize>,
+    ) -> Option<Frequency> {
+        if !scratch.select(&self.selector, &self.cluster, needed, slot) {
+            self.certificates[job_id] = Certificate::Nodes {
+                epoch: self.event_epoch,
+            };
+            return None;
+        }
+        let decision = self.hook.authorize_start(
+            &self.cluster,
+            &self.reservations,
+            &self.jobs[job_id],
+            &scratch.selected,
+            self.now,
+        );
+        match decision {
+            StartDecision::Start { frequency } => Some(frequency),
+            StartDecision::Postpone => {
+                self.certificates[job_id] = Certificate::Power {
+                    epoch: self.state_epoch,
+                    expires: self.overlap_expiry(job_id),
+                };
+                None
+            }
+        }
+    }
+
+    /// The first instant after `now` at which `job_id`'s window
+    /// `[t, t + walltime)` overlaps a node-carrying reservation it does not
+    /// overlap at `now` (`SimTime::MAX` if none lies ahead).
+    fn overlap_expiry(&self, job_id: JobId) -> SimTime {
+        let walltime = self.jobs[job_id].submission.walltime;
+        let window_end = self.now.saturating_add(walltime);
+        self.reservations
+            .all()
+            .iter()
+            .filter(|r| r.blocked_nodes().is_some() && r.window.start >= window_end)
+            .map(|r| (r.window.start - walltime).saturating_add(1))
+            .min()
+            .unwrap_or(SimTime::MAX)
+    }
+
+    /// The full pass: priority sort, then FCFS + EASY backfilling over the
+    /// first `depth` jobs, certifying every job found unable to start.
+    fn full_pass(&mut self, scratch: &mut ScheduleScratch, measurements: &mut PassMeasurements) {
+        let total_cores = self.cluster.platform().total_cores();
+        let cores_per_node = self.cluster.platform().cores_per_node;
         self.priority.sort_pending(
             &self.jobs,
             &mut self.pending,
@@ -655,108 +984,34 @@ impl Controller {
         let mut shadow: Option<ShadowReservation> = None;
         let mut any_started = false;
 
-        // The blocked-node set of a job only depends on which node-carrying
-        // reservations overlap its prospective window. With a handful of
-        // reservations and thousands of pending jobs, most jobs share the
-        // same overlap signature, so the (potentially large) node sets are
-        // built once per signature and per pass instead of once per job —
-        // and survive job starts, which only invalidate the availability
-        // *counts*. Should the census ever exceed the signature width, the
-        // pass falls back to exact per-job computation instead of silently
-        // ignoring the overflow (reservation #129 blocks nodes too).
-        let ScheduleScratch {
-            priority_keys: _,
-            order,
-            releases,
-            selected,
-            selected_mask,
-            select,
-            node_res,
-            cache,
-            cache_live,
-            exact_blocked,
-        } = &mut scratch;
-        order.clear();
-        order.extend_from_slice(&self.pending);
-        node_res.clear();
-        let mut node_res_total = 0usize;
-        for r in self.reservations.all() {
-            if r.blocked_nodes().is_some() {
-                if node_res_total < SIGNATURE_BITS {
-                    node_res.push((1u128 << node_res_total, r.window, r.id));
-                }
-                node_res_total += 1;
-            }
-        }
-        let exact_mode = node_res_total > SIGNATURE_BITS;
-        *cache_live = 0;
-
-        for (examined, &job_id) in order.iter().enumerate() {
+        // `start_job` leaves `pending` alone; started jobs drop out of it
+        // after the loop.
+        for examined in 0..self.pending.len() {
             if examined >= depth {
                 break;
             }
             if self.cluster.free_count() == 0 {
                 break;
             }
+            let job_id = self.pending[examined];
             let needed = self.jobs[job_id].nodes_needed(cores_per_node);
             let walltime = self.jobs[job_id].submission.walltime;
             let window_end = self.now.saturating_add(walltime);
-
-            // Resolve the blocked set + availability for this job's window:
-            // through the signature cache normally, exactly per job when the
-            // reservation census overflows the signature.
-            let cache_index = if exact_mode {
-                exact_blocked.clear();
-                self.reservations
-                    .collect_blocked_within(self.now, window_end, exact_blocked);
-                None
-            } else {
-                let signature: u128 = node_res
-                    .iter()
-                    .filter(|(_, window, _)| window.overlaps(self.now, window_end))
-                    .map(|(bit, _, _)| bit)
-                    .sum();
-                let index = (0..*cache_live).find(|&i| cache[i].signature == signature);
-                let index = match index {
-                    Some(i) => {
-                        measurements.cache_hits += 1;
-                        i
-                    }
-                    None => {
-                        measurements.cache_misses += 1;
-                        let i = *cache_live;
-                        if i == cache.len() {
-                            cache.push(BlockedEntry::default());
-                        }
-                        let entry = &mut cache[i];
-                        entry.signature = signature;
-                        entry.blocked.clear();
-                        entry.count_valid = false;
-                        for (bit, _, id) in node_res.iter() {
-                            if signature & bit != 0 {
-                                let reservation =
-                                    self.reservations.get(*id).expect("censused reservation");
-                                if let Some(nodes) = reservation.blocked_nodes() {
-                                    entry.blocked.extend(nodes.iter().copied());
-                                }
-                            }
-                        }
-                        *cache_live += 1;
-                        i
-                    }
+            let (slot, available) = scratch.resolve(
+                &self.reservations,
+                &self.selector,
+                &self.cluster,
+                self.now,
+                window_end,
+                measurements,
+            );
+            let node_bound = needed > available;
+            if node_bound {
+                // Certified here, before the backfill test may pass over it.
+                self.certificates[job_id] = Certificate::Nodes {
+                    epoch: self.event_epoch,
                 };
-                if !cache[index].count_valid {
-                    cache[index].count = self
-                        .selector
-                        .available_count(&self.cluster, &cache[index].blocked);
-                    cache[index].count_valid = true;
-                }
-                Some(index)
-            };
-            let available = match cache_index {
-                Some(i) => cache[i].count,
-                None => self.selector.available_count(&self.cluster, exact_blocked),
-            };
+            }
 
             if let Some(sh) = &shadow {
                 // A higher-priority job holds a node reservation: only
@@ -766,17 +1021,19 @@ impl Controller {
                 }
             }
 
-            if needed > available {
+            if node_bound {
                 if shadow.is_none() {
                     // The head job is blocked by node availability: compute
                     // its shadow reservation from running jobs' walltimes and
                     // keep examining candidates only if backfilling is on.
-                    releases.clear();
+                    scratch.releases.clear();
                     for &j in &self.running {
                         let job = &self.jobs[j];
-                        releases.push((job.walltime_end().unwrap_or(self.now), job.nodes.len()));
+                        scratch
+                            .releases
+                            .push((job.walltime_end().unwrap_or(self.now), job.nodes.len()));
                     }
-                    shadow = shadow_reservation(needed, available, releases, self.now);
+                    shadow = shadow_reservation(needed, available, &mut scratch.releases, self.now);
                     if !backfill_cfg.enabled {
                         break;
                     }
@@ -784,44 +1041,21 @@ impl Controller {
                 continue;
             }
 
-            let blocked: &NodeMask = match cache_index {
-                Some(i) => &cache[i].blocked,
-                None => exact_blocked,
-            };
-            if !self
-                .selector
-                .select_into(&self.cluster, needed, blocked, select, selected)
-            {
+            // A postponed job is power-blocked, not node-blocked: no node
+            // reservation is held, lower-priority (typically smaller or
+            // slower) jobs may still be attempted.
+            let Some(frequency) = self.authorize(scratch, job_id, needed, slot) else {
                 continue;
-            }
-            let decision = self.hook.authorize_start(
-                &self.cluster,
-                &self.reservations,
-                &self.jobs[job_id],
-                selected,
-                self.now,
-            );
-            match decision {
-                StartDecision::Start { frequency } => {
-                    selected_mask.clear();
-                    selected_mask.extend(selected.iter().copied());
-                    self.start_job(job_id, selected, selected_mask, frequency);
-                    any_started = true;
-                    measurements.started += 1;
-                    // Node availability changed: invalidate the cached
-                    // counts (the blocked sets themselves are unaffected) so
-                    // the remaining candidates see up-to-date numbers.
-                    for entry in &mut cache[..*cache_live] {
-                        entry.count_valid = false;
-                    }
-                }
-                StartDecision::Postpone => {
-                    // Power-blocked, not node-blocked: no node reservation is
-                    // held, lower-priority (typically smaller or slower) jobs
-                    // may still be attempted.
-                    continue;
-                }
-            }
+            };
+            scratch.selected_mask.clear();
+            scratch
+                .selected_mask
+                .extend(scratch.selected.iter().copied());
+            self.start_job(job_id, &scratch.selected, &scratch.selected_mask, frequency);
+            any_started = true;
+            measurements.started += 1;
+            // The remaining candidates must see the new availability.
+            scratch.invalidate_counts();
         }
 
         if any_started {
@@ -831,13 +1065,6 @@ impl Controller {
             let jobs = &self.jobs;
             self.pending.retain(|&id| jobs[id].is_pending());
         }
-
-        if scratch.footprint() > footprint_before {
-            self.scratch_growth_passes += 1;
-        }
-        self.scratch = scratch;
-        self.obs
-            .pass_end(pass, measurements, self.cluster.accountant().probe_counts());
     }
 
     fn start_job(
@@ -856,6 +1083,7 @@ impl Controller {
         let stretched_walltime = ((walltime as f64) * factor).ceil() as SimTime;
 
         self.cluster.allocate(id, nodes, frequency, self.now);
+        self.state_epoch += 1;
 
         let job = &mut self.jobs[id];
         job.state = JobState::Running;
@@ -1384,10 +1612,12 @@ mod tests {
                 .iter()
                 .map(|j| (j.id, j.start_time, j.end_time))
                 .collect();
-            (schedule, registry.snapshot(), spans.take_events())
+            let passes = (c.schedule_passes(), c.skipped_passes());
+            (schedule, passes, registry.snapshot(), spans.take_events())
         };
-        let (plain, empty_snapshot, no_events) = run(false);
-        let (instrumented, snapshot, events) = run(true);
+        let (plain, plain_passes, empty_snapshot, no_events) = run(false);
+        let (instrumented, (passes, skipped), snapshot, events) = run(true);
+        assert_eq!(plain_passes, (passes, skipped));
         assert_eq!(plain, instrumented, "observability changed the schedule");
         assert!(empty_snapshot.entries.is_empty());
         assert!(no_events.is_empty());
@@ -1395,6 +1625,19 @@ mod tests {
             .histogram("rjms.schedule_pass.queue_depth")
             .expect("pass histogram registered");
         assert!(depth.count > 0, "non-empty passes were recorded");
+        // Skipped passes count only in their own counter: no duration,
+        // depth or span.
+        assert!(skipped > 0, "the submit stream should skip some passes");
+        assert_eq!(
+            snapshot.counter("rjms.schedule_pass.skipped"),
+            Some(skipped)
+        );
+        let duration = snapshot
+            .histogram("rjms.schedule_pass.duration_ns")
+            .expect("pass histogram registered");
+        assert_eq!(duration.count, depth.count);
+        assert_eq!(events.len() as u64, duration.count);
+        assert!(duration.count + skipped <= passes);
         let hits = snapshot.counter("rjms.blocked_cache.hits").unwrap();
         let misses = snapshot.counter("rjms.blocked_cache.misses").unwrap();
         assert!(
@@ -1425,5 +1668,371 @@ mod tests {
                 .count_matching(|e| matches!(e.kind, SimEventKind::CapDeactivated { .. })),
             1
         );
+    }
+
+    /// Stand-in for the powercap hook (which lives in `apc-core`, above this
+    /// crate): Algorithm 2's ladder walk against the tightest cap over the
+    /// stretched window, on one policy's ladder. With `gates` on, some jobs
+    /// also depend on the cluster's load and on their candidate set in ways
+    /// power alone does not — still within the `authorize_start` contract —
+    /// so that a certificate kept too long lets the skip start nothing where
+    /// the full pass would start a job.
+    #[derive(Debug, Clone)]
+    struct LadderHook {
+        /// Allowed steps, fastest first.
+        steps: Vec<Frequency>,
+        degradation: apc_power::DegradationModel,
+        /// Nodes the offline phase switches off under every cap.
+        switch_off: Vec<usize>,
+        gates: bool,
+    }
+
+    /// Jobs in the second gated class never start on these node ids.
+    const GATED_NODES: usize = 8;
+
+    impl LadderHook {
+        /// `policy`: 0 = uncapped, 1 = SHUT, 2 = DVFS, 3 = MIX.
+        fn new(policy: u8, switch_off: Vec<usize>, gates: bool) -> Self {
+            let ladder = apc_power::FrequencyLadder::curie();
+            let steps: Vec<Frequency> = ladder
+                .steps_descending()
+                .filter(|f| match policy {
+                    1 => *f == ladder.max(),
+                    3 => *f >= Frequency::from_ghz(2.0),
+                    _ => true,
+                })
+                .collect();
+            LadderHook {
+                steps: if policy == 0 { Vec::new() } else { steps },
+                degradation: apc_power::DegradationModel::for_ladder(1.63, &ladder),
+                switch_off,
+                gates,
+            }
+        }
+    }
+
+    impl SchedulingHook for LadderHook {
+        fn authorize_start(
+            &mut self,
+            cluster: &Cluster,
+            reservations: &ReservationBook,
+            job: &Job,
+            candidate_nodes: &[usize],
+            now: SimTime,
+        ) -> StartDecision {
+            if self.gates {
+                // Every third job only starts on a busy machine…
+                if job.id.is_multiple_of(3) && cluster.free_count() * 2 > cluster.total_nodes() {
+                    return StartDecision::Postpone;
+                }
+                // …and every third other one never on the low node ids.
+                if job.id % 3 == 1 && candidate_nodes.iter().any(|&n| n < GATED_NODES) {
+                    return StartDecision::Postpone;
+                }
+            }
+            let fmax = cluster.platform().ladder.max();
+            if self.steps.is_empty() {
+                return StartDecision::Start { frequency: fmax };
+            }
+            let profile = &cluster.platform().profile;
+            let probe = cluster.busy_probe(candidate_nodes);
+            for &frequency in &self.steps {
+                let walltime = self
+                    .degradation
+                    .stretch_runtime(job.submission.walltime, frequency);
+                let end = now.saturating_add(walltime.max(1));
+                let Some(cap) = reservations.cap_within(now, end) else {
+                    return StartDecision::Start { frequency: fmax };
+                };
+                if cluster.current_power() + probe.delta(profile.busy_watts(frequency)) <= cap {
+                    return StartDecision::Start { frequency };
+                }
+            }
+            StartDecision::Postpone
+        }
+
+        fn plan_powercap(
+            &mut self,
+            _cluster: &Cluster,
+            _reservations: &ReservationBook,
+            _window: TimeWindow,
+            _cap: Watts,
+            _now: SimTime,
+        ) -> crate::hook::OfflinePlan {
+            crate::hook::OfflinePlan {
+                switch_off_nodes: self.switch_off.clone(),
+            }
+        }
+
+        fn runtime_factor(&self, frequency: Frequency) -> f64 {
+            self.degradation.factor(frequency)
+        }
+    }
+
+    /// Drive `c` batch by batch as `run` does, but at every submit-only
+    /// batch evaluate the skip test and then run the full pass anyway,
+    /// asserting that a predicted skip starts nothing. Returns the number
+    /// of predicted skips.
+    fn run_audited(c: &mut Controller) -> u64 {
+        let mut predicted = 0;
+        while let Some(submit_only) = c.next_batch() {
+            let skip = submit_only && !c.pending.is_empty() && {
+                let mut scratch = std::mem::take(&mut c.scratch);
+                scratch.take_census(&c.reservations);
+                let skip = c.starts_nothing(&mut scratch, &mut PassMeasurements::default());
+                c.scratch = scratch;
+                skip
+            };
+            let pending = c.pending.len();
+            c.schedule_pass(false);
+            if skip {
+                predicted += 1;
+                assert_eq!(
+                    c.pending.len(),
+                    pending,
+                    "a pass predicted to start nothing started a job at t = {}",
+                    c.now
+                );
+            }
+        }
+        c.close();
+        predicted
+    }
+
+    /// Everything a skip could disturb: every job's schedule and node set,
+    /// the event log, the report, and the fair-share usage bits (which the
+    /// decay-step history decides).
+    fn observable(c: &Controller, users: usize) -> String {
+        let jobs: Vec<_> = c
+            .jobs()
+            .iter()
+            .map(|j| {
+                let nodes: Vec<usize> = j.nodes.iter().collect();
+                (j.state, j.start_time, j.end_time, j.frequency, nodes)
+            })
+            .collect();
+        let usage: Vec<u64> = (0..users)
+            .map(|u| c.fairshare.usage_of(u).to_bits())
+            .collect();
+        format!(
+            "{jobs:?}\n{:?}\n{:?}\n{usage:?}",
+            c.log().events(),
+            c.report()
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// The skip is sound: wherever it holds after a submit-only batch,
+        /// the full pass starts nothing — across policies, static and
+        /// scheduled caps, outages, backfill settings, selection policies
+        /// and the census-overflow exact mode. A run that skips ends in
+        /// the same state as one that never does, fair-share bits included.
+        #[test]
+        fn skipped_passes_would_start_nothing(
+            racks in 1usize..3,
+            jobs in proptest::collection::vec(
+                ((0usize..4, 0u64..14_400), 1u32..1_600, 300u64..14_400, 1u64..100),
+                8..64,
+            ),
+            policy in 0u8..4,
+            caps in (0u8..3, 0u64..14_400, 600u64..10_800, 25u32..95),
+            outages in proptest::collection::vec((0usize..180, 0u64..18_000, 60u64..5_400), 0..4),
+            backfill in (0u8..3, 1usize..5),
+            first_fit in 0u8..2,
+            exact_mode in 0u8..3,
+            maintenance in (0u64..14_400, 600u64..7_200),
+            gates in 0u8..2,
+        ) {
+            let build = || {
+                let platform = Platform::curie_scaled(racks);
+                let n = platform.total_nodes();
+                let params = crate::config::SchedulerParameters {
+                    backfill: crate::backfill::BackfillConfig {
+                        enabled: backfill.0 != 1,
+                        depth: if backfill.0 == 2 { backfill.1 } else { 200 },
+                    },
+                    ..Default::default()
+                };
+                let mut config = ControllerConfig::default().with_params(params);
+                if first_fit == 1 {
+                    config.selection = crate::select::SelectionPolicy::FirstFit;
+                }
+                let switch_off: Vec<usize> = if policy == 1 || policy == 3 {
+                    (n - 18..n).collect()
+                } else {
+                    Vec::new()
+                };
+                let hook = LadderHook::new(policy, switch_off, gates == 1);
+                let mut c = Controller::with_hook(platform, config, Box::new(hook));
+                let (kind, start, length, percent) = caps;
+                let max_power = c.cluster().platform().max_power();
+                let fraction = |p: u32| max_power * (f64::from(p) / 100.0);
+                match kind {
+                    1 => {
+                        let cap = fraction(percent);
+                        c.add_powercap_reservation(TimeWindow::new(start, start + length), cap);
+                    }
+                    2 => {
+                        // Three back-to-back segments at different levels.
+                        for (i, p) in [percent, 95 - percent / 2, (percent + 40) % 95 + 5]
+                            .into_iter()
+                            .enumerate()
+                        {
+                            let from = start + i as SimTime * length;
+                            let cap = fraction(p);
+                            c.add_powercap_reservation(TimeWindow::new(from, from + length), cap);
+                        }
+                    }
+                    _ => {}
+                }
+                c.add_maintenance_reservation(
+                    TimeWindow::new(maintenance.0, maintenance.0 + maintenance.1),
+                    (0..GATED_NODES).collect(),
+                );
+                if exact_mode == 0 {
+                    // 129 one-node reservations on staggered windows
+                    // overflow the signature census.
+                    for i in 0..129u64 {
+                        let from = (i * 977) % 14_400;
+                        c.add_maintenance_reservation(
+                            TimeWindow::new(from, from + 1_800),
+                            vec![GATED_NODES + (i as usize % 12)],
+                        );
+                    }
+                }
+                for &(node, down, length) in &outages {
+                    c.inject_node_outage(node % n, down, down + length);
+                }
+                let max_cores = n as u32 * c.cluster().platform().cores_per_node;
+                for &((user, submit), cores, walltime, runtime_percent) in &jobs {
+                    let runtime = (walltime * runtime_percent / 100).max(1);
+                    c.submit(JobSubmission::new(user, submit, cores % max_cores + 1, walltime, runtime));
+                }
+                c.set_horizon(6 * HOUR);
+                c
+            };
+            let mut audited = build();
+            let predicted = run_audited(&mut audited);
+            let mut plain = build();
+            plain.run();
+            proptest::prop_assert_eq!(plain.skipped_passes(), predicted);
+            proptest::prop_assert_eq!(observable(&plain, 4), observable(&audited, 4));
+        }
+    }
+
+    /// Jobs trickling one at a time into a saturated machine: most passes
+    /// after a submission are proven idle and skipped, and the schedule is
+    /// the one of a run that examines every pass.
+    #[test]
+    fn submit_stream_skips_most_passes() {
+        let build = || {
+            let hook = LadderHook::new(2, Vec::new(), false);
+            let mut c =
+                Controller::with_hook(platform(), ControllerConfig::default(), Box::new(hook));
+            let cap = c.cluster().platform().power_fraction(0.4);
+            c.add_powercap_reservation(TimeWindow::new(0, 4 * HOUR), cap);
+            for i in 0..200u64 {
+                c.submit(job(i as usize % 5, i * 60, 160, 2 * HOUR, 3000));
+            }
+            c.set_horizon(4 * HOUR);
+            c
+        };
+        let mut audited = build();
+        let predicted = run_audited(&mut audited);
+        let mut plain = build();
+        plain.run();
+        assert_eq!(observable(&plain, 5), observable(&audited, 5));
+        assert_eq!(plain.skipped_passes(), predicted);
+        assert!(
+            predicted * 2 > plain.schedule_passes(),
+            "only {predicted} of {} passes were skipped",
+            plain.schedule_passes()
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// Cross-check of the blocked-set cache against the plain
+        /// reference: for every examined window, the set a pass resolves
+        /// equals `ReservationBook::collect_blocked_within`, and its count
+        /// equals a scan of the node table — through cache hits, misses,
+        /// count invalidation after starts, and the census-overflow exact
+        /// mode.
+        #[test]
+        fn cached_blocked_sets_match_the_plain_reference(
+            racks in 1usize..3,
+            reservations in proptest::collection::vec(
+                (0u64..20_000, 1u64..8_000, (0usize..180, 1usize..40), 0u8..3),
+                0..12,
+            ),
+            overflow in 0u8..3,
+            queries in proptest::collection::vec((0u64..20_000, 1u64..20_000, 0usize..180), 1..48),
+        ) {
+            let platform = Platform::curie_scaled(racks);
+            let n = platform.total_nodes();
+            let fmax = platform.ladder.max();
+            let mut cluster = Cluster::new(platform);
+            let mut book = ReservationBook::new();
+            for &(start, length, (first, count), kind) in &reservations {
+                let window = TimeWindow::new(start, start + length);
+                let nodes: Vec<usize> = (first..first + count).map(|id| id % n).collect();
+                book.add(
+                    window,
+                    match kind {
+                        0 => ReservationKind::SwitchOff { nodes },
+                        1 => ReservationKind::Maintenance { nodes },
+                        _ => ReservationKind::PowerCap { cap: Watts(1.0e5) },
+                    },
+                );
+            }
+            if overflow == 0 {
+                for i in 0..129u64 {
+                    let from = (i * 613) % 20_000;
+                    book.add(
+                        TimeWindow::new(from, from + 900),
+                        ReservationKind::Maintenance { nodes: vec![(i as usize * 7) % n] },
+                    );
+                }
+            }
+            let selector = NodeSelector::default();
+            let mut scratch = ScheduleScratch::default();
+            scratch.take_census(&book);
+            for (job, &(now, walltime, node)) in queries.iter().enumerate() {
+                let end = now.saturating_add(walltime);
+                let (slot, available) = scratch.resolve(
+                    &book,
+                    &selector,
+                    &cluster,
+                    now,
+                    end,
+                    &mut PassMeasurements::default(),
+                );
+                let mut reference = NodeMask::default();
+                book.collect_blocked_within(now, end, &mut reference);
+                let blocked = match slot {
+                    Some(i) => &scratch.cache[i].blocked,
+                    None => &scratch.exact_blocked,
+                };
+                proptest::prop_assert_eq!(
+                    blocked.iter().collect::<Vec<_>>(),
+                    reference.iter().collect::<Vec<_>>()
+                );
+                let selectable = cluster
+                    .nodes()
+                    .iter()
+                    .filter(|nd| nd.is_available() && !reference.contains(nd.id))
+                    .count();
+                proptest::prop_assert_eq!(available, selectable);
+                // A start between two examinations, as in a pass.
+                let node = node % n;
+                if cluster.node(node).is_available() {
+                    cluster.allocate(job, &[node], fmax, 0);
+                    scratch.invalidate_counts();
+                }
+            }
+        }
     }
 }

@@ -14,10 +14,15 @@
 //! |----------------------------------|-----------|---------------------------------------|
 //! | `rjms.schedule_pass.duration_ns` | histogram | wall time of one non-empty pass       |
 //! | `rjms.schedule_pass.queue_depth` | histogram | pending jobs at the start of the pass |
+//! | `rjms.schedule_pass.skipped`     | counter   | passes proven to start nothing        |
 //! | `rjms.blocked_cache.hits`        | counter   | blocked-set signature cache hits      |
 //! | `rjms.blocked_cache.misses`      | counter   | … misses (set built from scratch)     |
 //! | `rjms.probe.fast`                | counter   | power probes on the `Busy` fast path  |
 //! | `rjms.probe.slow`                | counter   | power probes walking the group scratch|
+//!
+//! A skipped pass (see the controller's module docs) only counts in
+//! `rjms.schedule_pass.skipped`: it records no duration, depth, span or
+//! cache lookups.
 
 use apc_obs::{Counter, Histogram, Registry, SpanRecorder, SpanStart};
 
@@ -41,6 +46,7 @@ pub struct PassMeasurements {
 pub struct ControllerObs {
     pass_duration_ns: Histogram,
     pass_queue_depth: Histogram,
+    passes_skipped: Counter,
     blocked_cache_hits: Counter,
     blocked_cache_misses: Counter,
     probe_fast: Counter,
@@ -64,6 +70,7 @@ impl ControllerObs {
         ControllerObs {
             pass_duration_ns: registry.histogram("rjms.schedule_pass.duration_ns"),
             pass_queue_depth: registry.histogram("rjms.schedule_pass.queue_depth"),
+            passes_skipped: registry.counter("rjms.schedule_pass.skipped"),
             blocked_cache_hits: registry.counter("rjms.blocked_cache.hits"),
             blocked_cache_misses: registry.counter("rjms.blocked_cache.misses"),
             probe_fast: registry.counter("rjms.probe.fast"),
@@ -96,6 +103,12 @@ impl ControllerObs {
     #[inline]
     pub fn pass_begin(&self) -> SpanStart {
         self.spans.start_if(self.is_live())
+    }
+
+    /// Count one pass skipped because it provably starts nothing.
+    #[inline]
+    pub fn pass_skipped(&self) {
+        self.passes_skipped.inc();
     }
 
     /// Publish one finished schedule pass: histograms, cache counters, the
@@ -180,5 +193,22 @@ mod tests {
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].name, "schedule_pass");
         assert_eq!(events[0].category, "rjms");
+    }
+
+    #[test]
+    fn a_skipped_pass_only_counts_itself() {
+        let registry = Registry::new();
+        let recorder = SpanRecorder::new();
+        let obs = ControllerObs::new(&registry, recorder.clone());
+        obs.pass_skipped();
+        obs.pass_skipped();
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("rjms.schedule_pass.skipped"), Some(2));
+        assert_eq!(
+            snap.histogram("rjms.schedule_pass.duration_ns")
+                .map_or(0, |h| h.count),
+            0
+        );
+        assert!(recorder.take_events().is_empty());
     }
 }
