@@ -183,11 +183,67 @@ fn bench_pass_scale(c: &mut Criterion) {
     group.finish();
 }
 
+/// Jobs arriving one at a time into a saturated 2-rack machine under a
+/// 40 % DVFS cap: most event batches hold a single submission that cannot
+/// start, the case the submit-only pass skip targets (the `schedule_pass*`
+/// cases submit everything at t = 0 and never reach it). ns/iter is one
+/// whole run; before timing, one run prints its event-batch count, so
+/// ns/iter divided by it is the cost of one batch.
+fn bench_submit_stream(c: &mut Criterion) {
+    use apc_core::{PowercapConfig, PowercapHook};
+    use apc_rjms::cluster::Platform;
+    use apc_rjms::config::ControllerConfig;
+    use apc_rjms::controller::Controller;
+    use apc_rjms::job::JobSubmission;
+    use apc_rjms::time::{SimTime, TimeWindow, HOUR};
+
+    let platform = Platform::curie_scaled(2);
+    let run = || {
+        let hook = PowercapHook::new(PowercapConfig::for_policy(PowercapPolicy::Dvfs), &platform);
+        let mut controller = Controller::with_hook(
+            platform.clone(),
+            ControllerConfig::default(),
+            Box::new(hook),
+        );
+        let cap = platform.power_fraction(0.4);
+        controller.add_powercap_reservation(TimeWindow::new(3 * HOUR, 5 * HOUR), cap);
+        for i in 0..960u64 {
+            controller.submit(JobSubmission::new(
+                (i % 7) as usize,
+                i * 30,
+                (16 + (i % 5) * 16) as u32 * 10,
+                2 * HOUR,
+                1800 + (i % 13) as SimTime * 120,
+            ));
+        }
+        controller.set_horizon(8 * HOUR);
+        controller.run();
+        controller
+    };
+    let sample = run();
+    println!(
+        "  schedule_pass/submit_stream_cap40_dvfs: {} event batches ({} passes skipped), \
+         {} jobs started",
+        sample.schedule_passes(),
+        sample.skipped_passes(),
+        sample.report().launched_jobs
+    );
+    let mut group = c.benchmark_group("schedule_pass");
+    group.sample_size(10);
+    group.warm_up_time(std::time::Duration::from_secs(1));
+    group.measurement_time(std::time::Duration::from_secs(4));
+    group.bench_function("submit_stream_cap40_dvfs", |b| {
+        b.iter(|| black_box(run().schedule_passes()))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_replay_per_policy,
     bench_backfill_depth,
     bench_pending_heavy,
-    bench_pass_scale
+    bench_pass_scale,
+    bench_submit_stream
 );
 criterion_main!(benches);
