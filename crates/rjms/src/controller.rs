@@ -12,7 +12,7 @@
 //!
 //! A batch of only job submissions frees nothing: only the clock moved and
 //! new jobs arrived. After such a batch the pass is skipped when it provably
-//! starts nothing. Each pass leaves a [`Certificate`] on every job it finds
+//! starts nothing. Each pass leaves a `Certificate` on every job it finds
 //! unable to start, and the skip test re-examines only the jobs whose
 //! certificate no longer holds (new arrivals, mostly). When every pending
 //! job holds one, no priority order can start a job, so the pass — whose
@@ -880,24 +880,12 @@ impl Controller {
         if self.cluster.free_count() == 0 {
             return true;
         }
-        let cores_per_node = self.cluster.platform().cores_per_node;
         for i in 0..self.pending.len() {
             let job_id = self.pending[i];
             if self.certificates[job_id].holds(self.now, self.event_epoch, self.state_epoch) {
                 continue;
             }
-            let needed = self.jobs[job_id].nodes_needed(cores_per_node);
-            let window_end = self
-                .now
-                .saturating_add(self.jobs[job_id].submission.walltime);
-            let (slot, available) = scratch.resolve(
-                &self.reservations,
-                &self.selector,
-                &self.cluster,
-                self.now,
-                window_end,
-                measurements,
-            );
+            let (needed, slot, available) = self.resolve(scratch, job_id, measurements);
             if needed > available {
                 self.certificates[job_id] = Certificate::Nodes {
                     epoch: self.event_epoch,
@@ -909,6 +897,28 @@ impl Controller {
             }
         }
         true
+    }
+
+    /// The nodes `job_id` needs, and the blocked-set slot and selectable
+    /// node count of its window `[now, now + walltime)`.
+    fn resolve(
+        &self,
+        scratch: &mut ScheduleScratch,
+        job_id: JobId,
+        measurements: &mut PassMeasurements,
+    ) -> (usize, Option<usize>, usize) {
+        let job = &self.jobs[job_id];
+        let needed = job.nodes_needed(self.cluster.platform().cores_per_node);
+        let window_end = self.now.saturating_add(job.submission.walltime);
+        let (slot, available) = scratch.resolve(
+            &self.reservations,
+            &self.selector,
+            &self.cluster,
+            self.now,
+            window_end,
+            measurements,
+        );
+        (needed, slot, available)
     }
 
     /// Select nodes for `job_id` and ask the hook: the frequency to start
@@ -965,7 +975,6 @@ impl Controller {
     /// first `depth` jobs, certifying every job found unable to start.
     fn full_pass(&mut self, scratch: &mut ScheduleScratch, measurements: &mut PassMeasurements) {
         let total_cores = self.cluster.platform().total_cores();
-        let cores_per_node = self.cluster.platform().cores_per_node;
         self.priority.sort_pending(
             &self.jobs,
             &mut self.pending,
@@ -994,17 +1003,8 @@ impl Controller {
                 break;
             }
             let job_id = self.pending[examined];
-            let needed = self.jobs[job_id].nodes_needed(cores_per_node);
             let walltime = self.jobs[job_id].submission.walltime;
-            let window_end = self.now.saturating_add(walltime);
-            let (slot, available) = scratch.resolve(
-                &self.reservations,
-                &self.selector,
-                &self.cluster,
-                self.now,
-                window_end,
-                measurements,
-            );
+            let (needed, slot, available) = self.resolve(scratch, job_id, measurements);
             let node_bound = needed > available;
             if node_bound {
                 // Certified here, before the backfill test may pass over it.
