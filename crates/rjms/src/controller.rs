@@ -98,15 +98,15 @@ enum Certificate {
     /// The job needs more nodes than are selectable outside its blocked
     /// set. Starts only take nodes and the blocked set only grows, so this
     /// holds until the next non-submission event (`epoch` is the
-    /// controller's `event_epoch` at issue).
+    /// controller's `event_epoch` when it was made).
     Nodes { epoch: u64 },
     /// Nodes were selected but the hook postponed the job. On an unchanged
     /// cluster and candidate set the hook keeps postponing as `now`
     /// advances (the [`SchedulingHook::authorize_start`] contract), so this
     /// holds until the next job start or non-submission event (`epoch` is
-    /// the controller's `state_epoch` at issue) and while the job's window
-    /// overlaps the same node-carrying reservations — that is, before
-    /// `expires`, the first instant it reaches one more.
+    /// the controller's `state_epoch` when it was made) and while the
+    /// job's window overlaps the same node-carrying reservations — that
+    /// is, before `expires`, the first instant it reaches one more.
     Power { epoch: u64, expires: SimTime },
 }
 

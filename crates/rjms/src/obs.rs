@@ -194,21 +194,4 @@ mod tests {
         assert_eq!(events[0].name, "schedule_pass");
         assert_eq!(events[0].category, "rjms");
     }
-
-    #[test]
-    fn a_skipped_pass_only_counts_itself() {
-        let registry = Registry::new();
-        let recorder = SpanRecorder::new();
-        let obs = ControllerObs::new(&registry, recorder.clone());
-        obs.pass_skipped();
-        obs.pass_skipped();
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("rjms.schedule_pass.skipped"), Some(2));
-        assert_eq!(
-            snap.histogram("rjms.schedule_pass.duration_ns")
-                .map_or(0, |h| h.count),
-            0
-        );
-        assert!(recorder.take_events().is_empty());
-    }
 }
